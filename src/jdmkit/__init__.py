@@ -6,157 +6,23 @@ classes, connect any two realizations by a sequence of class-preserving
 two-edge swaps, and sample realizations via stub-matching chains.
 """
 
-from .balance import (
-    ClassAverages,
-    balance,
-    balance_step,
-    class_averages,
-    deviation,
-    imbalance,
-)
-from .core import (
-    GraphError,
-    Jdm,
-    LabeledGraph,
-    NotRealizationError,
-    Rso,
-    SwapError,
-    all_spectra,
-    apply_rso,
-    degree_spectrum,
-    delete_vertex,
-    extract_jdm,
-    vertex_counts,
-)
-from .fileio import (
-    FileFormatError,
-    dumps_graph,
-    dumps_jdm,
-    dumps_multigraph,
-    dumps_trace,
-    load_graph,
-    load_jdm,
-    load_trace,
-    loads_graph,
-    loads_jdm,
-    loads_trace,
-    save_graph,
-    save_jdm,
-    save_trace,
-)
-from .graphic import (
-    CandidateState,
-    GraphicalityReport,
-    NotGraphicalError,
-    Violation,
-    check_graphical,
-    construct_realization,
-    initial_candidate,
-    psi_descent_step,
-)
-from .oracle import (
-    ConfigCensus,
-    MetagraphReport,
-    enumerate_configurations,
-    enumerate_realizations,
-    metagraph_connected,
-)
-from .sampler import (
-    AutocorrelationResult,
-    ChainRunner,
-    ConfigModel,
-    Configuration,
-    MultiGraphRealization,
-    autocorrelation,
-    build_model,
-    chain_a_step,
-    chain_b_step,
-    embed_realization,
-    simple_fiber_size,
-    to_multigraph,
-    uniform_configuration,
-)
-from .transform import (
-    Bipartite,
-    SwapSequence,
-    aux_bipartite,
-    bipartite_swap_path,
-    lift_aux_swap,
-    rso_path,
-    simple_swap_path,
-    spectrum_align,
-)
+import sys
+
+from .balance import *
+from .core import *
+from .fileio import *
+from .graphic import *
+from .oracle import *
+from .sampler import *
+from .transform import *
 from .cli import run
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "GraphError",
-    "NotRealizationError",
-    "SwapError",
-    "FileFormatError",
-    "NotGraphicalError",
-    "Jdm",
-    "LabeledGraph",
-    "Rso",
-    "extract_jdm",
-    "vertex_counts",
-    "degree_spectrum",
-    "all_spectra",
-    "apply_rso",
-    "delete_vertex",
-    "dumps_graph",
-    "loads_graph",
-    "save_graph",
-    "load_graph",
-    "dumps_jdm",
-    "loads_jdm",
-    "save_jdm",
-    "load_jdm",
-    "dumps_trace",
-    "loads_trace",
-    "save_trace",
-    "load_trace",
-    "dumps_multigraph",
-    "Violation",
-    "GraphicalityReport",
-    "CandidateState",
-    "check_graphical",
-    "initial_candidate",
-    "psi_descent_step",
-    "construct_realization",
-    "ClassAverages",
-    "class_averages",
-    "deviation",
-    "imbalance",
-    "balance_step",
-    "balance",
-    "Bipartite",
-    "SwapSequence",
-    "aux_bipartite",
-    "bipartite_swap_path",
-    "simple_swap_path",
-    "lift_aux_swap",
-    "spectrum_align",
-    "rso_path",
-    "ConfigModel",
-    "Configuration",
-    "MultiGraphRealization",
-    "AutocorrelationResult",
-    "ChainRunner",
-    "build_model",
-    "uniform_configuration",
-    "to_multigraph",
-    "chain_a_step",
-    "chain_b_step",
-    "embed_realization",
-    "simple_fiber_size",
-    "autocorrelation",
-    "MetagraphReport",
-    "ConfigCensus",
-    "enumerate_realizations",
-    "metagraph_connected",
-    "enumerate_configurations",
-    "run",
+# Each module lists its own public names.  They are read from sys.modules
+# because the star imports rebind `balance` to the function of that name.
+__all__ = ["__version__", "run"] + [
+    name
+    for module in ("core", "fileio", "graphic", "balance", "transform", "sampler", "oracle")
+    for name in sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -10,8 +10,9 @@ from .core import (
     GraphError,
     Jdm,
     LabeledGraph,
-    NotRealizationError,
     Rso,
+    _movable_neighbor,
+    _require_realization,
     apply_rso,
     extract_jdm,
     vertex_counts,
@@ -60,14 +61,6 @@ class ClassAverages:
 
 def class_averages(j: Jdm) -> ClassAverages:
     return ClassAverages(j)
-
-
-def _require_realization(g: LabeledGraph) -> None:
-    for v in g.vertices:
-        if g.degree(v) != g.class_of(v):
-            raise NotRealizationError(
-                f"vertex {v} has degree {g.degree(v)} but class {g.class_of(v)}"
-            )
 
 
 def _floor_dev(avg: Fraction, s: int) -> int:
@@ -120,22 +113,13 @@ def _step_witnesses(
     v = min(members, key=lambda x: (-spectra[x][i - 1], x))
     # The extreme spread is at least 2 whenever any deviation is positive, so
     # a neighbor of v in the witness class avoiding u and its neighborhood exists.
-    w = None
-    for cand in g.neighbors(v):
-        if g.class_of(cand) == i and cand != u and not g.has_edge(u, cand):
-            w = cand
-            break
+    w = _movable_neighbor(g, v, i, u)
     assert w is not None, "no movable witness-class neighbor at the top vertex"
     z = None
-    kk = None
     for k in range(1, g.delta + 1):
         if k == i or spectra[u][k - 1] <= spectra[v][k - 1]:
             continue
-        for cand in g.neighbors(u):
-            if g.class_of(cand) == k and cand != v and not g.has_edge(v, cand):
-                z = cand
-                kk = k
-                break
+        z = _movable_neighbor(g, u, k, v)
         if z is not None:
             break
     assert z is not None, "no return-class neighbor at the bottom vertex"

@@ -25,12 +25,7 @@ from .fileio import (
     save_jdm,
     save_trace,
 )
-from .graphic import (
-    check_graphical,
-    construct_realization,
-    initial_candidate,
-    psi_descent_step,
-)
+from .graphic import check_graphical, construct_realization, initial_candidate
 from .oracle import enumerate_configurations, enumerate_realizations
 from .sampler import (
     ChainRunner,
@@ -78,18 +73,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     j = load_jdm(args.matrix)
-    state = initial_candidate(j)
-    initial_psi = state.psi
-    steps = 0
-    while state.psi > 0:
-        state = psi_descent_step(state)
-        steps += 1
-    save_graph(state.graph, args.out)
+    initial_psi = initial_candidate(j).psi
+    g = construct_realization(j)
+    save_graph(g, args.out)
     payload = {
-        "vertices": state.graph.n,
-        "edges": state.graph.m,
+        "vertices": g.n,
+        "edges": g.m,
         "initial_psi": initial_psi,
-        "descent_steps": steps,
+        # Every descent step drops psi by exactly 2.
+        "descent_steps": initial_psi // 2,
         "out": args.out,
     }
     _emit(payload, None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "GraphError",
@@ -292,13 +292,29 @@ class Rso:
         return f"{self.a} {self.b} {self.c} {self.d} {self.pivot_class}"
 
 
-def extract_jdm(g: LabeledGraph) -> Jdm:
-    """Count edges per class pair; within-class edges are counted once."""
+def _require_realization(g: LabeledGraph) -> None:
     for v in g.vertices:
         if g.degree(v) != g.class_of(v):
             raise NotRealizationError(
                 f"vertex {v} has degree {g.degree(v)} but class {g.class_of(v)}"
             )
+
+
+def _movable_neighbor(g: LabeledGraph, v: int, i: int, u: int) -> Optional[int]:
+    """First neighbor of v in class i that is neither u nor adjacent to u.
+
+    This is the witness an RSO pivoting on v and u needs: v hands it to u
+    without creating a duplicate edge.  None when v has no such neighbor.
+    """
+    for cand in g.neighbors(v):
+        if g.class_of(cand) == i and cand != u and not g.has_edge(u, cand):
+            return cand
+    return None
+
+
+def extract_jdm(g: LabeledGraph) -> Jdm:
+    """Count edges per class pair; within-class edges are counted once."""
+    _require_realization(g)
     k = g.delta
     rows = [[0] * k for _ in range(k)]
     for u, v in g.edges():
@@ -324,6 +340,26 @@ def vertex_counts(j: Jdm) -> Tuple[Fraction, ...]:
     return tuple(counts)
 
 
+def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
+    """Map sorted labels (default 0..n-1) to classes, smallest class first."""
+    counts = vertex_counts(j)
+    for i, c in enumerate(counts, start=1):
+        if c.denominator != 1:
+            raise GraphError(f"class {i} would need {c} vertices")
+    sizes = [int(c) for c in counts]
+    total = sum(sizes)
+    labels = sorted(range(total) if labels is None else labels)
+    if len(labels) != total or len(set(labels)) != total:
+        raise GraphError(f"need exactly {total} distinct labels")
+    classes: Dict[int, int] = {}
+    pos = 0
+    for i, size in enumerate(sizes, start=1):
+        for v in labels[pos : pos + size]:
+            classes[v] = i
+        pos += size
+    return classes
+
+
 def degree_spectrum(g: LabeledGraph, v: int) -> Tuple[int, ...]:
     """Per-class neighbor counts of v."""
     return g.spectrum(v)
@@ -335,11 +371,7 @@ def all_spectra(g: LabeledGraph) -> Dict[int, Tuple[int, ...]]:
 
 def apply_rso(g: LabeledGraph, r: Rso) -> LabeledGraph:
     """Apply a validated swap to a realization; the result is again a realization."""
-    for v in g.vertices:
-        if g.degree(v) != g.class_of(v):
-            raise NotRealizationError(
-                f"vertex {v} has degree {g.degree(v)} but class {g.class_of(v)}"
-            )
+    _require_realization(g)
     r.validate(g)
     return g.rewire(
         remove=((r.a, r.c), (r.b, r.d)),

@@ -48,6 +48,19 @@ def _lines(text: str) -> List[str]:
     return [ln for ln in text.splitlines()]
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a byte outside ASCII is a format error, not a crash."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(
+            f"non-ASCII byte {data[exc.start]:#04x} in {path}", line
+        ) from None
+
+
 def dumps_graph(g: LabeledGraph) -> str:
     """Canonical text: `n m` then sorted `u v` lines; classes are the degrees."""
     if not g.is_realization():
@@ -98,8 +111,7 @@ def save_graph(g: LabeledGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> LabeledGraph:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_graph(fh.read())
+    return loads_graph(_read_text(path))
 
 
 def dumps_jdm(j: Jdm) -> str:
@@ -135,8 +147,7 @@ def save_jdm(j: Jdm, path: str) -> None:
 
 
 def load_jdm(path: str) -> Jdm:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_jdm(fh.read())
+    return loads_jdm(_read_text(path))
 
 
 def dumps_trace(swaps: Sequence[Rso]) -> str:
@@ -160,8 +171,7 @@ def save_trace(swaps: Sequence[Rso], path: str) -> None:
 
 
 def load_trace(path: str) -> List[Rso]:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_trace(fh.read())
+    return loads_trace(_read_text(path))
 
 
 def dumps_multigraph(mg) -> str:

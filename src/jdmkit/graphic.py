@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, vertex_counts
+from .core import GraphError, Jdm, LabeledGraph, _assign_labels, vertex_counts
 
 __all__ = [
     "Violation",
@@ -134,26 +134,6 @@ class CandidateState:
             i, l = sorted((g.class_of(u), g.class_of(v)))
             counts[(i, l)] = counts.get((i, l), 0) + 1
         return counts
-
-
-def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
-    counts = vertex_counts(j)
-    sizes = [int(c) for c in counts]
-    total = sum(sizes)
-    if labels is None:
-        labels = range(total)
-    labels = sorted(labels)
-    if len(labels) != total:
-        raise GraphError(f"need exactly {total} labels, got {len(labels)}")
-    if len(set(labels)) != total:
-        raise GraphError("labels must be distinct")
-    classes: Dict[int, int] = {}
-    pos = 0
-    for i, size in enumerate(sizes, start=1):
-        for v in labels[pos : pos + size]:
-            classes[v] = i
-        pos += size
-    return classes
 
 
 def initial_candidate(j: Jdm, labels: Optional[Sequence[int]] = None) -> CandidateState:

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, vertex_counts
-from .graphic import _assign_labels
+from .core import GraphError, Jdm, LabeledGraph, _assign_labels, vertex_counts
 from .sampler import Configuration, build_model, to_multigraph
 
 __all__ = [

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, extract_jdm, vertex_counts
+from .core import GraphError, Jdm, LabeledGraph, _assign_labels, extract_jdm, vertex_counts
 
 __all__ = [
     "ConfigModel",
@@ -99,23 +99,8 @@ class MultiGraphRealization:
 
 def build_model(j: Jdm, labels: Optional[List[int]] = None) -> ConfigModel:
     """Lay out mini-vertices and edge-points; needs integral class counts."""
-    counts = vertex_counts(j)
-    for i, c in enumerate(counts, start=1):
-        if c.denominator != 1:
-            raise GraphError(f"class {i} would need {c} vertices")
-    sizes = [int(c) for c in counts]
-    total = sum(sizes)
-    if labels is None:
-        labels = list(range(total))
-    labels = sorted(labels)
-    if len(labels) != total or len(set(labels)) != total:
-        raise GraphError(f"need exactly {total} distinct labels")
-    classes: Dict[int, int] = {}
-    pos = 0
-    for i, size in enumerate(sizes, start=1):
-        for v in labels[pos : pos + size]:
-            classes[v] = i
-        pos += size
+    classes = _assign_labels(j, labels)
+    sizes = [int(c) for c in vertex_counts(j)]
     minis: Dict[int, List[Tuple[int, int]]] = {c: [] for c in range(1, j.k + 1)}
     for v in sorted(classes):
         c = classes[v]

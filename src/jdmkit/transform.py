@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .core import (
     GraphError,
     LabeledGraph,
     Rso,
+    _movable_neighbor,
     apply_rso,
     extract_jdm,
 )
@@ -41,35 +42,18 @@ class Bipartite:
         return sum(1 for (_, b) in self.edges if b == r)
 
 
-def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
-    """Swap records routing an edge set to its degree function's canonical graph.
+def _forced_wiring(adj, schedule) -> List[Tuple]:
+    """Rewire adj (node -> neighbor set) in place by forced swaps; return them.
 
-    The canonical graph is built one vertex at a time, Havel-Hakimi style: the
-    active vertex w of highest remaining degree (ties to the smallest label)
-    gets wired to the active vertices of next-highest remaining degrees.  Each
-    wiring is forced by one swap: to gain target x while dropping non-target
-    z, pick a witness y adjacent to x but not to z and trade the w-z, y-x
-    edges for w-x, y-z.  The witness always exists: x's remaining degree is at
-    least z's, while z alone is adjacent to w, so x's active neighborhood
-    cannot fit inside z's.  Every swap strictly grows the overlap between w's
-    neighborhood and its target set, so the routing terminates.
-
-    Records follow the (p, q, r, s) convention: remove p-q, r-s; add p-s, r-q.
-    Returns (records, canonical edge set as sorted pairs).
+    schedule(active) yields (w, targets) pairs, and w leaves the active set
+    once wired.  Each swap gains w's smallest missing target x and drops its
+    smallest active non-target z via the smallest active witness y adjacent
+    to x but not to z, trading the w-z, y-x edges for w-x, y-z; it is
+    recorded as (w, z, y, x).
     """
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
     records: List[Tuple] = []
     active = set(adj)
-    while len(active) > 1:
-        dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
-        w = max(active, key=lambda v: (dact[v], -v))
-        if dact[w] == 0:
-            break
-        rest = sorted((v for v in active if v != w), key=lambda v: (-dact[v], v))
-        targets = set(rest[: dact[w]])
+    for w, targets in schedule(active):
         while True:
             wanted = sorted(x for x in targets if x not in adj[w])
             if not wanted:
@@ -95,6 +79,38 @@ def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
             adj[z].add(y)
             records.append((w, z, y, x))
         active.remove(w)
+    return records
+
+
+def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
+    """Swap records routing an edge set to its degree function's canonical graph.
+
+    The canonical graph is built one vertex at a time, Havel-Hakimi style: the
+    active vertex w of highest remaining degree (ties to the smallest label)
+    gets wired to the active vertices of next-highest remaining degrees by
+    forced swaps (_forced_wiring).  The witness always exists: x's remaining
+    degree is at least z's, while z alone is adjacent to w, so x's active
+    neighborhood cannot fit inside z's.  Every swap strictly grows the overlap
+    between w's neighborhood and its target set, so the routing terminates.
+
+    Records follow the (p, q, r, s) convention: remove p-q, r-s; add p-s, r-q.
+    Returns (records, canonical edge set as sorted pairs).
+    """
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def havel_hakimi(active):
+        while len(active) > 1:
+            dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
+            w = max(active, key=lambda v: (dact[v], -v))
+            if dact[w] == 0:
+                return
+            rest = sorted((v for v in active if v != w), key=lambda v: (-dact[v], v))
+            yield w, set(rest[: dact[w]])
+
+    records = _forced_wiring(adj, havel_hakimi)
     canon = frozenset((u, v) for u in adj for v in adj[u] if u < v)
     return records, canon
 
@@ -109,44 +125,29 @@ def _canonize_bipartite(edges, lefts, rights) -> Tuple[List[Tuple], frozenset]:
     least as many pending edges as the dropped z, while z alone sees w, so a
     pending witness adjacent to x but not z always exists.
 
+    A right node r is keyed (r,) in the shared adjacency, so a left label
+    never equals a right key even when the two sides reuse a number; 1-tuples
+    sort as their labels do.
+
     Records are (l1, r1, l2, r2): remove l1-r1, l2-r2; add l1-r2, l2-r1.
     Returns (records, canonical edge set as (l, r) pairs).
     """
-    nl = {l: set() for l in lefts}
-    nr = {r: set() for r in rights}
+    adj = {l: set() for l in lefts}
+    adj.update({(r,): set() for r in rights})
     for l, r in edges:
-        nl[l].add(r)
-        nr[r].add(l)
-    records: List[Tuple] = []
-    pending = set(lefts)
-    live = {r: len(nr[r]) for r in rights}  # edges toward pending lefts
-    for w in sorted(lefts, key=lambda l: (-len(nl[l]), l)):
-        rank = sorted(rights, key=lambda r: (-live[r], r))
-        targets = set(rank[: len(nl[w])])
-        while True:
-            wanted = sorted(x for x in targets if x not in nl[w])
-            if not wanted:
-                break
-            x = wanted[0]
-            spare = [r for r in sorted(nl[w]) if r not in targets]
-            assert spare, "neighborhood and target set sizes must match"
-            z = spare[0]
-            picks = [l for l in sorted(nr[x]) if l in pending and l not in nr[z]]
-            assert picks, "missing witness for a forced swap"
-            y = picks[0]
-            nl[w].remove(z)
-            nr[z].remove(w)
-            nl[y].remove(x)
-            nr[x].remove(y)
-            nl[w].add(x)
-            nr[x].add(w)
-            nl[y].add(z)
-            nr[z].add(y)
-            records.append((w, z, y, x))
-        pending.remove(w)
-        for r in nl[w]:
-            live[r] -= 1
-    canon = frozenset((l, r) for l in nl for r in nl[l])
+        adj[l].add((r,))
+        adj[(r,)].add(l)
+
+    def gale_ryser(active):
+        live = {(r,): len(adj[(r,)]) for r in rights}  # edges toward pending lefts
+        for w in sorted(lefts, key=lambda l: (-len(adj[l]), l)):
+            rank = sorted(live, key=lambda r: (-live[r], r))
+            yield w, set(rank[: len(adj[w])])
+            for r in adj[w]:
+                live[r] -= 1
+
+    records = [(w, z, y, x) for w, (z,), y, (x,) in _forced_wiring(adj, gale_ryser)]
+    canon = frozenset((l, r) for l in lefts for (r,) in adj[l])
     return records, canon
 
 
@@ -254,17 +255,9 @@ def lift_aux_swap(
         raise GraphError("swap requires marks (v,i) and (w,k) to be present")
     if (v, k) in aux.edges or (w, i) in aux.edges:
         raise GraphError("swap requires marks (v,k) and (w,i) to be absent")
-    x = None
-    for cand in g.neighbors(v):
-        if g.class_of(cand) == i and cand != w and not g.has_edge(w, cand):
-            x = cand
-            break
+    x = _movable_neighbor(g, v, i, w)
     assert x is not None, "high vertex must own a movable class-i neighbor"
-    y = None
-    for cand in g.neighbors(w):
-        if g.class_of(cand) == k and cand != v and not g.has_edge(v, cand):
-            y = cand
-            break
+    y = _movable_neighbor(g, w, k, v)
     assert y is not None, "high vertex must own a movable class-k neighbor"
     r = Rso(v, w, x, y, pivot_class=j)
     return apply_rso(g, r), r
@@ -325,6 +318,17 @@ def _check_same_problem(g: LabeledGraph, h: LabeledGraph) -> None:
         raise GraphError("vertex partitions differ")
 
 
+def _edges_by_class_pair(g: LabeledGraph) -> Dict[Tuple[int, int], set]:
+    """Edges grouped by class pair (i, j), i <= j, each oriented class i first."""
+    pairs: Dict[Tuple[int, int], set] = {}
+    for u, v in g.edges():
+        i, j = g.class_of(u), g.class_of(v)
+        if i > j:
+            i, j, u, v = j, i, v, u
+        pairs.setdefault((i, j), set()).add((u, v))
+    return pairs
+
+
 def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     """A swap sequence carrying g exactly onto h.
 
@@ -341,43 +345,33 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     h1, h_swaps = balance(h)
     cur, align_swaps = spectrum_align(cur, h1)
     swaps.extend(align_swaps)
+    # Routing class pair (i, j) moves only that pair's edges, so both edge
+    # sets can be split by pair once, up front.
     part = cur.partition()
-    classes = sorted(part)
-    for i in classes:
-        for j in classes:
-            if j < i:
+    tgt_pairs = _edges_by_class_pair(h1)
+    for (i, j), cur_sub in sorted(_edges_by_class_pair(cur).items()):
+        tgt_sub = tgt_pairs[(i, j)]
+        if i == j:
+            if cur_sub == tgt_sub:
                 continue
-            if i == j:
-                in_i = set(part[i])
-                cur_sub = [e for e in cur.edges() if set(e) <= in_i]
-                tgt_sub = [e for e in h1.edges() if set(e) <= in_i]
-                if set(cur_sub) == set(tgt_sub):
-                    continue
+            moves = [
+                Rso(p, r, q, s, pivot_class=i)
                 for p, q, r, s in _route_records(
                     _canonize_simple(cur_sub, part[i]),
                     _canonize_simple(tgt_sub, part[i]),
-                ):
-                    rso = Rso(p, r, q, s, pivot_class=i)
-                    cur = apply_rso(cur, rso)
-                    swaps.append(rso)
-            else:
-                in_i, in_j = set(part[i]), set(part[j])
-
-                def cross(graph):
-                    out = []
-                    for u, v in graph.edges():
-                        if u in in_i and v in in_j:
-                            out.append((u, v))
-                        elif v in in_i and u in in_j:
-                            out.append((v, u))
-                    return out
-
-                b_cur = Bipartite(tuple(part[i]), tuple(part[j]), frozenset(cross(cur)))
-                b_tgt = Bipartite(tuple(part[i]), tuple(part[j]), frozenset(cross(h1)))
-                for l1, r1, l2, r2 in bipartite_swap_path(b_cur, b_tgt):
-                    rso = Rso(l1, l2, r1, r2, pivot_class=i)
-                    cur = apply_rso(cur, rso)
-                    swaps.append(rso)
+                )
+            ]
+        else:
+            moves = [
+                Rso(l1, l2, r1, r2, pivot_class=i)
+                for l1, r1, l2, r2 in bipartite_swap_path(
+                    Bipartite(part[i], part[j], frozenset(cur_sub)),
+                    Bipartite(part[i], part[j], frozenset(tgt_sub)),
+                )
+            ]
+        for rso in moves:
+            cur = apply_rso(cur, rso)
+            swaps.append(rso)
     for r in reversed(h_swaps):
         inv = r.inverse()
         cur = apply_rso(cur, inv)

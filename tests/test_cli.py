@@ -329,3 +329,25 @@ class TestErrorHandling:
         path.write_text("2 1\n1 1\n")
         assert run(["extract", str(path)]) == 2
         assert "line 2: loop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{m}"],
+            ["construct", "{m}", "--out", "{o}"],
+            ["extract", "{g}"],
+            ["balance", "{g}", "--out", "{o}"],
+            ["path", "{g}", "{g}", "--out", "{o}"],
+            ["sample", "{m}", "--chain", "a", "--steps", "5", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_ascii_byte_is_a_parse_error(self, argv, tmp_path, capsys):
+        files = {"m": "2\n0 0\n0 6\xe9\n", "g": "3 3\n1 2\n2 3\xe9\n1 3\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("latin-1"))
+        paths = {name: str(tmp_path / name) for name in ("m", "g", "o")}
+        assert run([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: line 3: non-ASCII byte 0xe9")

@@ -6,6 +6,7 @@ import pytest
 
 from jdmkit.core import GraphError, Jdm, LabeledGraph, apply_rso, extract_jdm
 from jdmkit.balance import balance, imbalance
+from jdmkit.fileio import dumps_trace
 from jdmkit.oracle import enumerate_realizations
 from jdmkit.transform import (
     Bipartite,
@@ -253,3 +254,34 @@ class TestRsoPath:
         for r in seq.swaps:
             cur = apply_rso(cur, r)
             assert extract_jdm(cur) == j
+
+
+class TestPinnedTraces:
+    """Exact swap lists, so a refactor that changes which path is produced
+    fails here even when its paths still replay."""
+
+    # A realization of the pendant matrix.  Aligning class 3 runs on a side
+    # graph whose left node 3 (a vertex) and right node 3 (a class) share a
+    # number, and routing then uses cross pair (1, 3) and diagonal pair (3, 3).
+    PENDANT_OTHER = [
+        (0, 3), (1, 3), (2, 7), (3, 4), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7),
+    ]
+
+    def test_pendant_balance_trace(self, pendant):
+        assert dumps_trace(balance(pendant)[1]) == "3 5 0 6 3\n"
+
+    def test_pendant_path_trace(self, pendant):
+        h = LabeledGraph.from_edges(self.PENDANT_OTHER)
+        assert dumps_trace(rso_path(pendant, h).swaps) == (
+            "3 5 0 6 3\n5 6 0 4 3\n6 7 0 4 3\n0 1 7 3 1\n1 2 7 4 1\n"
+            "0 1 3 4 1\n5 3 7 6 3\n6 7 4 3 3\n6 7 3 4 3\n5 3 4 7 3\n4 3 0 5 3\n"
+        )
+        assert dumps_trace(rso_path(h, pendant).swaps) == (
+            "3 4 0 5 3\n6 7 4 2 3\n5 6 3 2 3\n0 1 4 3 1\n1 2 4 5 1\n"
+            "0 1 3 5 1\n6 3 5 4 3\n5 3 0 6 3\n"
+        )
+
+    def test_cross_class_routing_trace(self):
+        g = LabeledGraph.from_edges([(0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5)])
+        h = LabeledGraph.from_edges([(0, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
+        assert dumps_trace(rso_path(g, h).swaps) == "4 5 0 2 3\n0 1 5 4 1\n"
