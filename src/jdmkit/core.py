@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "GraphError",
@@ -197,10 +197,7 @@ class LabeledGraph:
 
     def partition(self) -> Dict[int, Tuple[int, ...]]:
         """Map class -> sorted vertices, nonempty classes only."""
-        part: Dict[int, list] = {}
-        for v in self._vertices:
-            part.setdefault(self._classes[v], []).append(v)
-        return {c: tuple(vs) for c, vs in sorted(part.items())}
+        return _partition(self._classes)
 
     def spectrum(self, v: int) -> Tuple[int, ...]:
         """Component i counts v's neighbors of class i, for i = 1..delta."""
@@ -270,10 +267,11 @@ class Rso:
         verts = (self.a, self.b, self.c, self.d)
         if len(set(verts)) != 4:
             raise SwapError(f"swap vertices {verts} are not pairwise distinct")
+        classes = g._classes
         for v in verts:
-            if v not in g.classes():
+            if v not in classes:
                 raise SwapError(f"unknown vertex {v}")
-        if g.class_of(self.a) != self.pivot_class or g.class_of(self.b) != self.pivot_class:
+        if classes[self.a] != self.pivot_class or classes[self.b] != self.pivot_class:
             raise SwapError(
                 f"vertices {self.a}, {self.b} must both be in class {self.pivot_class}"
             )
@@ -290,6 +288,29 @@ class Rso:
 
     def __str__(self) -> str:
         return f"{self.a} {self.b} {self.c} {self.d} {self.pivot_class}"
+
+
+def _partition(classes: Mapping[int, int]) -> Dict[int, Tuple[int, ...]]:
+    """Map class -> sorted vertices of a vertex -> class map, classes ascending."""
+    part: Dict[int, list] = {}
+    for v in sorted(classes):
+        part.setdefault(classes[v], []).append(v)
+    return {c: tuple(vs) for c, vs in sorted(part.items())}
+
+
+def _edges_by_class_pair(g: LabeledGraph) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+    """Sorted edges per class pair (i, j), i <= j, each oriented class i first.
+
+    Pairs come in ascending order; within-class edges keep u < v.
+    """
+    classes = g._classes
+    pairs: Dict[Tuple[int, int], list] = {}
+    for u, v in g.edge_set():
+        i, j = classes[u], classes[v]
+        if i > j:
+            i, j, u, v = j, i, v, u
+        pairs.setdefault((i, j), []).append((u, v))
+    return {pair: sorted(es) for pair, es in sorted(pairs.items())}
 
 
 def _require_realization(g: LabeledGraph) -> None:
@@ -317,12 +338,8 @@ def extract_jdm(g: LabeledGraph) -> Jdm:
     _require_realization(g)
     k = g.delta
     rows = [[0] * k for _ in range(k)]
-    for u, v in g.edges():
-        i = g.class_of(u) - 1
-        j = g.class_of(v) - 1
-        rows[i][j] += 1
-        if i != j:
-            rows[j][i] += 1
+    for (i, j), edges in _edges_by_class_pair(g).items():
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = len(edges)
     return Jdm(rows)
 
 
@@ -340,13 +357,19 @@ def vertex_counts(j: Jdm) -> Tuple[Fraction, ...]:
     return tuple(counts)
 
 
-def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
-    """Map sorted labels (default 0..n-1) to classes, smallest class first."""
-    counts = vertex_counts(j)
-    for i, c in enumerate(counts, start=1):
+def _class_sizes(j: Jdm) -> List[int]:
+    """Vertex count per class; GraphError when the matrix forces a fraction."""
+    sizes = []
+    for i, c in enumerate(vertex_counts(j), start=1):
         if c.denominator != 1:
             raise GraphError(f"class {i} would need {c} vertices")
-    sizes = [int(c) for c in counts]
+        sizes.append(int(c))
+    return sizes
+
+
+def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
+    """Map sorted labels (default 0..n-1) to classes, smallest class first."""
+    sizes = _class_sizes(j)
     total = sum(sizes)
     labels = sorted(range(total) if labels is None else labels)
     if len(labels) != total or len(set(labels)) != total:

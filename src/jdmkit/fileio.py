@@ -44,10 +44,6 @@ def _ints(text: str, count: int, line: int) -> List[int]:
         raise FileFormatError(f"expected integers, got {text!r}", line) from None
 
 
-def _lines(text: str) -> List[str]:
-    return [ln for ln in text.splitlines()]
-
-
 def _read_text(path: str) -> str:
     """The file's text; a byte outside ASCII is a format error, not a crash."""
     with open(path, "rb") as fh:
@@ -73,7 +69,7 @@ def dumps_graph(g: LabeledGraph) -> str:
 
 
 def loads_graph(text: str) -> LabeledGraph:
-    lines = _lines(text)
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise FileFormatError("missing `n m` header", 1)
     n, m = _ints(lines[0], 2, 1)
@@ -121,7 +117,7 @@ def dumps_jdm(j: Jdm) -> str:
 
 
 def loads_jdm(text: str) -> Jdm:
-    lines = _lines(text)
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise FileFormatError("missing matrix size header", 1)
     (k,) = _ints(lines[0], 1, 1)
@@ -157,7 +153,7 @@ def dumps_trace(swaps: Sequence[Rso]) -> str:
 
 def loads_trace(text: str) -> List[Rso]:
     swaps = []
-    for idx, ln in enumerate(_lines(text), start=1):
+    for idx, ln in enumerate(text.splitlines(), start=1):
         if not ln.strip():
             continue
         a, b, c, d, pivot = _ints(ln, 5, idx)

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, _assign_labels, vertex_counts
+from .core import (
+    GraphError,
+    Jdm,
+    LabeledGraph,
+    _assign_labels,
+    _edges_by_class_pair,
+    _partition,
+    vertex_counts,
+)
 
 __all__ = [
     "Violation",
@@ -128,12 +136,8 @@ class CandidateState:
         return sum(abs(g.degree(v) - g.class_of(v)) for v in g.vertices)
 
     def pair_counts(self) -> Dict[Tuple[int, int], int]:
-        counts: Dict[Tuple[int, int], int] = {}
-        g = self.graph
-        for u, v in g.edges():
-            i, l = sorted((g.class_of(u), g.class_of(v)))
-            counts[(i, l)] = counts.get((i, l), 0) + 1
-        return counts
+        pairs = _edges_by_class_pair(self.graph)
+        return {pair: len(edges) for pair, edges in pairs.items()}
 
 
 def initial_candidate(j: Jdm, labels: Optional[Sequence[int]] = None) -> CandidateState:
@@ -147,17 +151,15 @@ def initial_candidate(j: Jdm, labels: Optional[Sequence[int]] = None) -> Candida
     if not report.verdict:
         raise NotGraphicalError(report)
     classes = _assign_labels(j, labels)
-    part: Dict[int, list] = {}
-    for v, c in sorted(classes.items()):
-        part.setdefault(c, []).append(v)
+    part = _partition(classes)
     edges = []
     for i in range(1, j.k + 1):
-        left = part.get(i, [])
+        left = part.get(i, ())
         quota = j.entry(i, i)
         for u, v in itertools.islice(itertools.combinations(left, 2), quota):
             edges.append((u, v))
         for l in range(i + 1, j.k + 1):
-            right = part.get(l, [])
+            right = part.get(l, ())
             quota = j.entry(i, l)
             grid = ((u, w) for u in left for w in right)
             for u, w in itertools.islice(grid, quota):
@@ -169,9 +171,10 @@ def psi_descent_step(s: CandidateState) -> CandidateState:
     """Shift one edge from a surplus vertex to a deficient one; psi drops by 2.
 
     Witnesses are the lowest-labeled deficient vertex x, the lowest-labeled
-    surplus vertex y in x's class when one exists (class degree sums are fixed,
-    so one always does; other classes are scanned in order as a fallback), and
-    the lowest-labeled neighbor z of y that is neither x nor adjacent to x.
+    surplus vertex y in x's class, and the lowest-labeled neighbor z of y that
+    is neither x nor adjacent to x.  The exact class-pair edge counts fix each
+    class's degree sum at c * n_c, so y exists; a state whose counts disagree
+    with its matrix so that it does not raises GraphError.
     """
     g = s.graph
     psi_before = s.psi
@@ -185,16 +188,12 @@ def psi_descent_step(s: CandidateState) -> CandidateState:
         for v in g.partition()[g.class_of(x)]
         if g.degree(v) > g.class_of(v)
     ]
-    if same:
-        y = min(same)
-    else:
-        y = None
-        for c, members in g.partition().items():
-            surplus = [v for v in members if g.degree(v) > c]
-            if surplus:
-                y = min(surplus)
-                break
-        assert y is not None, "psi > 0 but no vertex is above its class"
+    if not same:
+        raise GraphError(
+            f"class {g.class_of(x)} has a deficient vertex but no surplus one: "
+            "the state's class-pair edge counts disagree with its matrix"
+        )
+    y = min(same)
     z = None
     for cand in g.neighbors(y):
         if cand != x and not g.has_edge(x, cand):

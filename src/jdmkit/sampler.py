@@ -16,7 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, _assign_labels, extract_jdm, vertex_counts
+from .core import (
+    GraphError,
+    Jdm,
+    LabeledGraph,
+    _assign_labels,
+    _class_sizes,
+    _edges_by_class_pair,
+    _partition,
+    extract_jdm,
+)
 
 __all__ = [
     "ConfigModel",
@@ -54,10 +63,7 @@ class ConfigModel:
         return tuple(len(self.minis[c]) for c in self.component_classes)
 
     def partition(self) -> Dict[int, Tuple[int, ...]]:
-        part: Dict[int, List[int]] = {}
-        for v, c in sorted(self.classes.items()):
-            part.setdefault(c, []).append(v)
-        return {c: tuple(vs) for c, vs in sorted(part.items())}
+        return _partition(self.classes)
 
 
 @dataclass(frozen=True)
@@ -100,12 +106,12 @@ class MultiGraphRealization:
 def build_model(j: Jdm, labels: Optional[List[int]] = None) -> ConfigModel:
     """Lay out mini-vertices and edge-points; needs integral class counts."""
     classes = _assign_labels(j, labels)
-    sizes = [int(c) for c in vertex_counts(j)]
+    sizes = _class_sizes(j)
     minis: Dict[int, List[Tuple[int, int]]] = {c: [] for c in range(1, j.k + 1)}
-    for v in sorted(classes):
-        c = classes[v]
-        for slot in range(1, c + 1):
-            minis[c].append((v, slot))
+    for c, members in _partition(classes).items():
+        for v in members:
+            for slot in range(1, c + 1):
+                minis[c].append((v, slot))
     points: Dict[int, List[Tuple[Tuple[int, int], int, int]]] = {
         c: [] for c in range(1, j.k + 1)
     }
@@ -204,10 +210,15 @@ class ChainRunner:
         for s in self._sizes:
             self._cum.append(acc)
             acc += s
-        self._point_at: Dict[Tuple, Tuple[int, int]] = {}
+        where: Dict[Tuple, Tuple[int, int]] = {}
         for ci, c in enumerate(model.component_classes):
             for idx, point in enumerate(model.points[c]):
-                self._point_at[point] = (ci, idx)
+                where[point] = (ci, idx)
+        # mate[ci][p]: the other point of point p's edge label, as (cj, q).
+        self._mate = [
+            [where[(pair, e, 1 - side)] for pair, e, side in model.points[c]]
+            for c in model.component_classes
+        ]
         mg = to_multigraph(start)
         if kind == "b" and not mg.is_simple:
             raise GraphError("chain b needs a simple starting configuration")
@@ -219,23 +230,9 @@ class ChainRunner:
         self.holds = 0
         self.rejects = 0
 
-    def _endpoint(self, ci: int, point_idx: int) -> int:
-        return self.model.minis[self.model.component_classes[ci]][
-            self.inv[ci][point_idx]
-        ][0]
-
-    def _label_pair(self, label) -> Tuple[int, int]:
-        """Current endpoints of an edge label, as a sorted vertex pair."""
-        pair, e = label
-        ci, pi = self._point_at[(pair, e, 0)]
-        cl, pl = self._point_at[(pair, e, 1)]
-        u = self._endpoint(ci, pi)
-        v = self._endpoint(cl, pl)
-        return (u, v) if u <= v else (v, u)
-
     def step(self) -> None:
         self.steps += 1
-        if self.rng.randrange(2) == 0:
+        if self.rng.randrange(2) == 0 or not self._total:
             self.holds += 1
             return
         g = self.rng.randrange(self._total)
@@ -252,41 +249,39 @@ class ChainRunner:
         self._exchange(ci, mi1, mi2)
 
     def _exchange(self, ci: int, mi1: int, mi2: int) -> None:
-        c = self.model.component_classes[ci]
-        perm = self.perms[ci]
+        perm, inv = self.perms[ci], self.inv[ci]
         p1, p2 = perm[mi1], perm[mi2]
-        points = self.model.points[c]
-        label1 = (points[p1][0], points[p1][1])
-        label2 = (points[p2][0], points[p2][1])
-        if label1 == label2:
-            # The label keeps the same two clouds; the multigraph cannot change.
-            perm[mi1], perm[mi2] = p2, p1
-            self.inv[ci][p1], self.inv[ci][p2] = mi2, mi1
-            return
-        old1 = self._label_pair(label1)
-        old2 = self._label_pair(label2)
+        # When p1 and p2 carry one edge label, the label keeps the same two
+        # clouds and the multigraph cannot change.  Otherwise each label moves
+        # to the other mini-vertex while its mate point stays put.
+        if self._mate[ci][p1] != (ci, p2):
+            minis, classes = self.model.minis, self.model.component_classes
+            u1, u2 = minis[classes[ci]][mi1][0], minis[classes[ci]][mi2][0]
+            (c1, q1), (c2, q2) = self._mate[ci][p1], self._mate[ci][p2]
+            w1 = minis[classes[c1]][self.inv[c1][q1]][0]
+            w2 = minis[classes[c2]][self.inv[c2][q2]][0]
+            old1, old2, new1, new2 = (
+                (a, b) if a <= b else (b, a)
+                for a, b in ((u1, w1), (u2, w2), (u2, w1), (u1, w2))
+            )
+            if self.kind == "b" and not self._stays_simple(old1, old2, new1, new2):
+                self.rejects += 1
+                return
+            for old in (old1, old2):
+                left = self.pair_counts[old] - 1
+                if old[0] == old[1] or left >= 1:
+                    self.nonsimple -= 1
+                if left:
+                    self.pair_counts[old] = left
+                else:
+                    del self.pair_counts[old]
+            for new in (new1, new2):
+                had = self.pair_counts.get(new, 0)
+                if new[0] == new[1] or had >= 1:
+                    self.nonsimple += 1
+                self.pair_counts[new] = had + 1
         perm[mi1], perm[mi2] = p2, p1
-        self.inv[ci][p1], self.inv[ci][p2] = mi2, mi1
-        new1 = self._label_pair(label1)
-        new2 = self._label_pair(label2)
-        if self.kind == "b" and not self._stays_simple(old1, old2, new1, new2):
-            perm[mi1], perm[mi2] = p1, p2
-            self.inv[ci][p1], self.inv[ci][p2] = mi1, mi2
-            self.rejects += 1
-            return
-        for old in (old1, old2):
-            left = self.pair_counts[old] - 1
-            if old[0] == old[1] or left >= 1:
-                self.nonsimple -= 1
-            if left:
-                self.pair_counts[old] = left
-            else:
-                del self.pair_counts[old]
-        for new in (new1, new2):
-            had = self.pair_counts.get(new, 0)
-            if new[0] == new[1] or had >= 1:
-                self.nonsimple += 1
-            self.pair_counts[new] = had + 1
+        inv[p1], inv[p2] = mi2, mi1
 
     def _stays_simple(self, old1, old2, new1, new2) -> bool:
         if new1[0] == new1[1] or new2[0] == new2[1] or new1 == new2:
@@ -337,29 +332,15 @@ def embed_realization(g: LabeledGraph, m: ConfigModel) -> Configuration:
         raise GraphError("graph and model matrices differ")
     if g.classes() != m.classes:
         raise GraphError("graph and model partitions differ")
-    edges_by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for u, v in g.edges():
-        i, l = g.class_of(u), g.class_of(v)
-        if i > l:
-            i, l = l, i
-            u, v = v, u
-        if i == l and u > v:
-            u, v = v, u
-        edges_by_pair.setdefault((i, l), []).append((u, v))
-    point_vertex: Dict[int, Dict[int, int]] = {c: {} for c in m.component_classes}
-    for c in m.component_classes:
-        for idx, point in enumerate(m.points[c]):
-            (i, l), e, side = point
-            edge = sorted(edges_by_pair.get((i, l), []))[e]
-            point_vertex[c][idx] = edge[side]
+    edges_by_pair = _edges_by_class_pair(g)
     match = []
     for c in m.component_classes:
-        next_slot = {v: 0 for v in m.classes if m.classes[v] == c}
+        next_slot: Dict[int, int] = {}
         mini_index = {mv: idx for idx, mv in enumerate(m.minis[c])}
         perm = [0] * len(m.minis[c])
-        for point_idx in range(len(m.points[c])):
-            v = point_vertex[c][point_idx]
-            slot = next_slot[v] + 1
+        for point_idx, (pair, e, side) in enumerate(m.points[c]):
+            v = edges_by_pair[pair][e][side]
+            slot = next_slot.get(v, 0) + 1
             next_slot[v] = slot
             perm[mini_index[(v, slot)]] = point_idx
         match.append(tuple(perm))
@@ -374,12 +355,10 @@ def simple_fiber_size(j: Jdm) -> int:
     (labels times the two point sides).  This constant size is why rejecting
     non-simple states yields the uniform distribution over simple realizations.
     """
-    counts = vertex_counts(j)
+    sizes = _class_sizes(j)
     size = 1
     for i in range(1, j.k + 1):
-        if counts[i - 1].denominator != 1:
-            raise GraphError(f"class {i} would need {counts[i - 1]} vertices")
-        size *= math.factorial(i) ** int(counts[i - 1])
+        size *= math.factorial(i) ** sizes[i - 1]
         size *= 2 ** j.entry(i, i) * math.factorial(j.entry(i, i))
         for l in range(i + 1, j.k + 1):
             size *= math.factorial(j.entry(i, l))

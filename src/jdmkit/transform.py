@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .core import (
     GraphError,
     LabeledGraph,
     Rso,
+    _edges_by_class_pair,
     _movable_neighbor,
     apply_rso,
     extract_jdm,
@@ -151,18 +152,13 @@ def _canonize_bipartite(edges, lefts, rights) -> Tuple[List[Tuple], frozenset]:
     return records, canon
 
 
-def _invert_record(record: Tuple) -> Tuple:
-    """The record undoing (p, q, r, s), with p and r kept in place."""
-    p, q, r, s = record
-    return (p, s, r, q)
-
-
 def _route_records(fwd_pack, bwd_pack) -> List[Tuple]:
     """Join two canonization routes into one path: forward, then backward."""
     fwd, canon_f = fwd_pack
     bwd, canon_b = bwd_pack
     assert canon_f == canon_b, "both routes must reach one canonical form"
-    return fwd + [_invert_record(rec) for rec in reversed(bwd)]
+    # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
+    return fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
 
 
 def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int, int, int]]:
@@ -318,17 +314,6 @@ def _check_same_problem(g: LabeledGraph, h: LabeledGraph) -> None:
         raise GraphError("vertex partitions differ")
 
 
-def _edges_by_class_pair(g: LabeledGraph) -> Dict[Tuple[int, int], set]:
-    """Edges grouped by class pair (i, j), i <= j, each oriented class i first."""
-    pairs: Dict[Tuple[int, int], set] = {}
-    for u, v in g.edges():
-        i, j = g.class_of(u), g.class_of(v)
-        if i > j:
-            i, j, u, v = j, i, v, u
-        pairs.setdefault((i, j), set()).add((u, v))
-    return pairs
-
-
 def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     """A swap sequence carrying g exactly onto h.
 
@@ -349,27 +334,24 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     # sets can be split by pair once, up front.
     part = cur.partition()
     tgt_pairs = _edges_by_class_pair(h1)
-    for (i, j), cur_sub in sorted(_edges_by_class_pair(cur).items()):
+    for (i, j), cur_sub in _edges_by_class_pair(cur).items():
         tgt_sub = tgt_pairs[(i, j)]
+        if cur_sub == tgt_sub:
+            continue
         if i == j:
-            if cur_sub == tgt_sub:
-                continue
-            moves = [
-                Rso(p, r, q, s, pivot_class=i)
-                for p, q, r, s in _route_records(
-                    _canonize_simple(cur_sub, part[i]),
-                    _canonize_simple(tgt_sub, part[i]),
-                )
-            ]
+            records = _route_records(
+                _canonize_simple(cur_sub, part[i]),
+                _canonize_simple(tgt_sub, part[i]),
+            )
         else:
-            moves = [
-                Rso(l1, l2, r1, r2, pivot_class=i)
-                for l1, r1, l2, r2 in bipartite_swap_path(
-                    Bipartite(part[i], part[j], frozenset(cur_sub)),
-                    Bipartite(part[i], part[j], frozenset(tgt_sub)),
-                )
-            ]
-        for rso in moves:
+            records = bipartite_swap_path(
+                Bipartite(part[i], part[j], frozenset(cur_sub)),
+                Bipartite(part[i], part[j], frozenset(tgt_sub)),
+            )
+        # Both record kinds remove x1-y1, x2-y2 and add x1-y2, x2-y1, with
+        # x1, x2 in class i.
+        for x1, y1, x2, y2 in records:
+            rso = Rso(x1, x2, y1, y2, pivot_class=i)
             cur = apply_rso(cur, rso)
             swaps.append(rso)
     for r in reversed(h_swaps):

@@ -293,6 +293,19 @@ class TestSample:
         assert code == 0
         assert payload["retained_samples"] == 16
 
+    @pytest.mark.parametrize("chain", ["a", "b"])
+    def test_edgeless_matrix_holds_every_step(self, chain, jdm_file, capsys):
+        code, payload = run_json(
+            [
+                "sample", jdm_file([[0]]),
+                "--chain", chain, "--steps", "10", "--seed", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert payload["holds"] == payload["steps"] == 10
+        assert payload["rejects"] == 0
+
     def test_chain_b_stays_simple_and_saves(
         self, jdm_file, graph_file, six_cycle, tmp_path, capsys
     ):

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from jdmkit.core import Jdm, LabeledGraph, extract_jdm, vertex_counts
+from jdmkit.core import GraphError, Jdm, LabeledGraph, extract_jdm, vertex_counts
 from jdmkit.graphic import (
+    CandidateState,
     NotGraphicalError,
     check_graphical,
     construct_realization,
@@ -76,6 +77,22 @@ class TestDescent:
         while state.psi:
             state = psi_descent_step(state)
         with pytest.raises(Exception, match="psi"):
+            psi_descent_step(state)
+
+
+    def test_descent_refuses_inconsistent_state(self):
+        # Matrix: one class-1 edge and two cross edges at the class-2 vertex 4.
+        # The state holds two class-1 edges and one cross edge, so deficient
+        # vertex 4 has no surplus vertex in its class.
+        j = Jdm([[1, 2], [2, 0]])
+        classes = {0: 1, 1: 1, 2: 1, 3: 1, 4: 2}
+        state = CandidateState(j, LabeledGraph([(0, 1), (2, 3), (3, 4)], classes))
+        with pytest.raises(GraphError, match="disagree with its matrix"):
+            psi_descent_step(state)
+        # A triangle matrix whose state lacks an edge: no surplus anywhere.
+        j = Jdm([[0, 0], [0, 3]])
+        state = CandidateState(j, LabeledGraph([(0, 1), (1, 2)], {0: 2, 1: 2, 2: 2}))
+        with pytest.raises(GraphError, match="disagree with its matrix"):
             psi_descent_step(state)
 
 

@@ -249,9 +249,32 @@ class TestChainRunner:
                 assert runner.config_key() == prev_key
                 fresh = to_multigraph(runner.configuration())
                 assert runner.multigraph().pair_counts == fresh.pair_counts
+                assert runner.pair_counts == fresh.pair_counts
             prev_key = runner.config_key()
             prev_rejects = runner.rejects
         assert runner.rejects > 0
+
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_incremental_bookkeeping_after_every_step(self, kind):
+        # Classes 1 and 2 share cross pair (1, 2) and class 2 has a diagonal
+        # pair, so proposals make loops and parallel edges and chain b rejects.
+        j = Jdm([[0, 2], [2, 2]])
+        model = build_model(j)
+        start = embed_realization(construct_realization(j), model)
+        runner = ChainRunner(model, start, kind, random.Random(11))
+        nonsimple_seen = 0
+        for _ in range(600):
+            runner.step()
+            fresh = to_multigraph(runner.configuration())
+            assert runner.pair_counts == fresh.pair_counts
+            assert runner.nonsimple == sum(
+                mult if u == v else mult - 1
+                for (u, v), mult in fresh.pair_counts.items()
+            )
+            nonsimple_seen += runner.nonsimple > 0
+        # Chain a visits loops and parallel edges; chain b refuses them.
+        assert (nonsimple_seen > 0) if kind == "a" else (runner.rejects > 0)
 
 
 class TestAutocorrelation:

@@ -281,6 +281,35 @@ class TestPinnedTraces:
             "0 1 3 5 1\n6 3 5 4 3\n5 3 0 6 3\n"
         )
 
+    def test_labels_out_of_class_order(self, pendant):
+        # Relabelling v -> 7 - v puts the class-1 leaves above the class-3
+        # core, so every cross edge u < v runs from class 3 to class 1 and
+        # the class-pair grouping has to turn it round.
+        def flip(edges):
+            return LabeledGraph.from_edges((7 - u, 7 - v) for u, v in edges)
+
+        g, h = flip(pendant.edges()), flip(self.PENDANT_OTHER)
+        assert g.partition() == {1: (5, 6, 7), 3: (0, 1, 2, 3, 4)}
+        j = extract_jdm(g)
+        for graph, trace in ((g, "4 0 6 1 3\n"), (h, "4 1 6 0 3\n")):
+            balanced, swaps = balance(graph)
+            assert dumps_trace(swaps) == trace
+            assert extract_jdm(balanced) == j
+        forward, backward = rso_path(g, h), rso_path(h, g)
+        assert dumps_trace(forward.swaps) == (
+            "4 0 6 1 3\n1 3 2 5 3\n3 4 0 7 3\n3 4 7 0 3\n5 6 1 0 1\n"
+            "2 3 4 1 3\n3 4 0 1 3\n1 4 6 0 3\n"
+        )
+        assert dumps_trace(backward.swaps) == (
+            "4 1 6 0 3\n3 4 1 7 3\n3 4 7 0 3\n1 3 6 0 3\n5 6 0 3 1\n"
+            "1 2 4 3 3\n1 3 0 4 3\n0 4 6 1 3\n"
+        )
+        assert forward.replay(g) == h and backward.replay(h) == g
+        cur = g
+        for r in forward.swaps:
+            cur = apply_rso(cur, r)
+            assert extract_jdm(cur) == j
+
     def test_cross_class_routing_trace(self):
         g = LabeledGraph.from_edges([(0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5)])
         h = LabeledGraph.from_edges([(0, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
