@@ -264,10 +264,13 @@ class Rso:
     pivot_class: int
 
     def validate(self, g: LabeledGraph) -> None:
+        self._check(g._classes, g.has_edge)
+
+    def _check(self, classes: Mapping[int, int], has_edge) -> None:
+        """The validation itself, over a class map and an edge test."""
         verts = (self.a, self.b, self.c, self.d)
         if len(set(verts)) != 4:
             raise SwapError(f"swap vertices {verts} are not pairwise distinct")
-        classes = g._classes
         for v in verts:
             if v not in classes:
                 raise SwapError(f"unknown vertex {v}")
@@ -276,10 +279,10 @@ class Rso:
                 f"vertices {self.a}, {self.b} must both be in class {self.pivot_class}"
             )
         for u, v in ((self.a, self.c), (self.b, self.d)):
-            if not g.has_edge(u, v):
+            if not has_edge(u, v):
                 raise SwapError(f"required edge {u}-{v} is missing")
         for u, v in ((self.b, self.c), (self.a, self.d)):
-            if g.has_edge(u, v):
+            if has_edge(u, v):
                 raise SwapError(f"target edge {u}-{v} is already present")
 
     def inverse(self) -> "Rso":
@@ -314,23 +317,12 @@ def _edges_by_class_pair(g: LabeledGraph) -> Dict[Tuple[int, int], List[Tuple[in
 
 
 def _require_realization(g: LabeledGraph) -> None:
-    for v in g.vertices:
-        if g.degree(v) != g.class_of(v):
+    adj, classes = g._adj, g._classes
+    for v in g._vertices:
+        if len(adj[v]) != classes[v]:
             raise NotRealizationError(
-                f"vertex {v} has degree {g.degree(v)} but class {g.class_of(v)}"
+                f"vertex {v} has degree {len(adj[v])} but class {classes[v]}"
             )
-
-
-def _movable_neighbor(g: LabeledGraph, v: int, i: int, u: int) -> Optional[int]:
-    """First neighbor of v in class i that is neither u nor adjacent to u.
-
-    This is the witness an RSO pivoting on v and u needs: v hands it to u
-    without creating a duplicate edge.  None when v has no such neighbor.
-    """
-    for cand in g.neighbors(v):
-        if g.class_of(cand) == i and cand != u and not g.has_edge(u, cand):
-            return cand
-    return None
 
 
 def extract_jdm(g: LabeledGraph) -> Jdm:
@@ -338,8 +330,12 @@ def extract_jdm(g: LabeledGraph) -> Jdm:
     _require_realization(g)
     k = g.delta
     rows = [[0] * k for _ in range(k)]
-    for (i, j), edges in _edges_by_class_pair(g).items():
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = len(edges)
+    classes = g._classes
+    for u, v in g._edges:
+        i, j = classes[u] - 1, classes[v] - 1
+        rows[i][j] += 1
+        if i != j:
+            rows[j][i] += 1
     return Jdm(rows)
 
 
@@ -355,6 +351,29 @@ def vertex_counts(j: Jdm) -> Tuple[Fraction, ...]:
         total = j.entry(i, i) + sum(j.entry(i, l) for l in range(1, j.k + 1))
         counts.append(Fraction(total, i))
     return tuple(counts)
+
+
+def _average_table(j: Jdm) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """Per nonempty class c and component i, the class-c mean count of
+    class-i neighbors as an integer pair (num, den), den > 0, not reduced.
+
+    The mean is J(i,c)/n_c off the diagonal and 2*J(c,c)/n_c on it (each
+    within-class edge has two endpoints in c), where n_c = ends_c / c and
+    ends_c is class c's endpoint total (vertex_counts).
+    """
+    table: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for c, row in enumerate(j.rows, start=1):
+        ends = row[c - 1] + sum(row)
+        if ends == 0:
+            continue
+        for i, entry in enumerate(row, start=1):
+            table[(c, i)] = ((2 * entry if i == c else entry) * c, ends)
+    return table
+
+
+def _floor_dev(num: int, den: int, s: int) -> int:
+    """floor(|num/den - s|) in integer arithmetic."""
+    return abs(num - s * den) // den
 
 
 def _class_sizes(j: Jdm) -> List[int]:
@@ -400,6 +419,92 @@ def apply_rso(g: LabeledGraph, r: Rso) -> LabeledGraph:
         remove=((r.a, r.c), (r.b, r.d)),
         add=((r.b, r.c), (r.a, r.d)),
     )
+
+
+class _SwapState:
+    """A realization under restricted swaps, updated in place.
+
+    Holds adjacency sets, each vertex's spectrum, the class averages of the
+    matrix (fixed, since a swap never changes the matrix) and, per class j
+    and component i, the tally of floor(|A_j(i) - s_i(v)|) over class j, with
+    its sum over i per class.  A swap touches the spectra of its two pivots
+    only, so it updates all of this in O(1).
+    """
+
+    __slots__ = ("classes", "adj", "part", "delta", "spec", "avg", "dev", "imb")
+
+    def __init__(self, g: LabeledGraph):
+        self.avg = avg = _average_table(extract_jdm(g))
+        self.classes = classes = g._classes
+        self.adj = {v: set(ns) for v, ns in g._adj.items()}
+        self.part = g.partition()
+        self.delta = delta = g.delta
+        self.spec = spec = {}
+        for v, ns in g._adj.items():
+            counts = [0] * delta
+            for w in ns:
+                counts[classes[w] - 1] += 1
+            spec[v] = counts
+        self.dev: Dict[Tuple[int, int], int] = {}
+        self.imb: Dict[int, int] = {}
+        for j, members in self.part.items():
+            for i in range(1, delta + 1):
+                num, den = avg[(j, i)]
+                self.dev[(j, i)] = sum(abs(num - spec[v][i - 1] * den) // den for v in members)
+            self.imb[j] = sum(self.dev[(j, i)] for i in range(1, delta + 1))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    def imbalance(self, j: int) -> int:
+        """Total deviation over class j's vertices and spectrum components."""
+        return self.imb.get(j, 0)
+
+    def movable(self, v: int, i: int, u: int) -> Optional[int]:
+        """Smallest neighbor of v in class i that is neither u nor adjacent to u.
+
+        This is the witness a swap pivoting on v and u needs: v hands it to u
+        without creating a duplicate edge.  None when v has no such neighbor.
+        """
+        classes, near_u = self.classes, self.adj[u]
+        return min(
+            (c for c in self.adj[v] if classes[c] == i and c != u and c not in near_u),
+            default=None,
+        )
+
+    def swap(self, r: Rso) -> None:
+        """Validate r exactly as Rso.validate does, then apply it."""
+        r._check(self.classes, self.has_edge)
+        a, b, c, d = r.a, r.b, r.c, r.d
+        adj = self.adj
+        adj[a].remove(c)
+        adj[c].remove(a)
+        adj[b].remove(d)
+        adj[d].remove(b)
+        adj[b].add(c)
+        adj[c].add(b)
+        adj[a].add(d)
+        adj[d].add(a)
+        # c and d keep their spectra, since a and b share a class; a trades a
+        # class(c) neighbor for a class(d) one and b the reverse.
+        ic, id_ = self.classes[c], self.classes[d]
+        if ic != id_:
+            for v, lose, gain in ((a, ic, id_), (b, id_, ic)):
+                self._bump(v, r.pivot_class, lose, -1)
+                self._bump(v, r.pivot_class, gain, 1)
+
+    def _bump(self, v: int, j: int, i: int, step: int) -> None:
+        spec = self.spec[v]
+        num, den = self.avg[(j, i)]
+        s = spec[i - 1]
+        change = _floor_dev(num, den, s + step) - _floor_dev(num, den, s)
+        self.dev[(j, i)] += change
+        self.imb[j] += change
+        spec[i - 1] = s + step
+
+    def graph(self) -> LabeledGraph:
+        edges = [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
+        return LabeledGraph(edges, self.classes)
 
 
 def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:

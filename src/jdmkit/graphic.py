@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -12,6 +12,7 @@ from .core import (
     Jdm,
     LabeledGraph,
     _assign_labels,
+    _class_sizes,
     _edges_by_class_pair,
     _partition,
     vertex_counts,
@@ -124,11 +125,22 @@ class CandidateState:
     """A graph with the exact per-class-pair edge counts of jdm.
 
     Vertex degrees may still disagree with their classes; psi totals that
-    disagreement and reaches zero exactly at realizations.
+    disagreement and reaches zero exactly at realizations.  States made by
+    initial_candidate or psi_descent_step hold the counts by construction;
+    _verified marks them so descent checks only other states.  It is no init
+    field, so dataclasses.replace makes an unverified state.
     """
 
     jdm: Jdm
     graph: LabeledGraph
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _of(cls, jdm: Jdm, graph: LabeledGraph) -> "CandidateState":
+        """A state whose class sizes and pair counts are known to be jdm's."""
+        s = cls(jdm, graph)
+        object.__setattr__(s, "_verified", True)
+        return s
 
     @property
     def psi(self) -> int:
@@ -164,7 +176,21 @@ def initial_candidate(j: Jdm, labels: Optional[Sequence[int]] = None) -> Candida
             grid = ((u, w) for u in left for w in right)
             for u, w in itertools.islice(grid, quota):
                 edges.append((u, w))
-    return CandidateState(jdm=j, graph=LabeledGraph(edges, classes))
+    return CandidateState._of(j, LabeledGraph(edges, classes))
+
+
+def _fits_matrix(s: CandidateState) -> bool:
+    """Whether the state's class sizes and class-pair edge counts are its matrix's."""
+    j, rows = s.jdm, s.jdm.rows
+    sizes = {c: n for c, n in enumerate(_class_sizes(j), start=1) if n}
+    pairs = {
+        (i, l): rows[i - 1][l - 1]
+        for i in range(1, j.k + 1)
+        for l in range(i, j.k + 1)
+        if rows[i - 1][l - 1]
+    }
+    part = s.graph.partition()
+    return {c: len(vs) for c, vs in part.items()} == sizes and s.pair_counts() == pairs
 
 
 def psi_descent_step(s: CandidateState) -> CandidateState:
@@ -172,14 +198,19 @@ def psi_descent_step(s: CandidateState) -> CandidateState:
 
     Witnesses are the lowest-labeled deficient vertex x, the lowest-labeled
     surplus vertex y in x's class, and the lowest-labeled neighbor z of y that
-    is neither x nor adjacent to x.  The exact class-pair edge counts fix each
-    class's degree sum at c * n_c, so y exists; a state whose counts disagree
-    with its matrix so that it does not raises GraphError.
+    is neither x nor adjacent to x.  The matrix's class sizes and exact
+    class-pair edge counts fix each class's degree sum at c * n_c, so y
+    exists.  A step keeps both, so only a hand-built state has them checked,
+    and one that disagrees with its matrix raises GraphError.
     """
     g = s.graph
     psi_before = s.psi
     if psi_before == 0:
         raise GraphError("descent requires psi > 0")
+    if not s._verified and not _fits_matrix(s):
+        raise GraphError(
+            "the state's class sizes or class-pair edge counts disagree with its matrix"
+        )
     deficient = [v for v in g.vertices if g.degree(v) < g.class_of(v)]
     assert deficient, "psi > 0 but no vertex is below its class"
     x = min(deficient)
@@ -200,7 +231,7 @@ def psi_descent_step(s: CandidateState) -> CandidateState:
             z = cand
             break
     assert z is not None, "no shift target next to the surplus vertex"
-    out = CandidateState(jdm=s.jdm, graph=g.rewire([(y, z)], [(x, z)]))
+    out = CandidateState._of(s.jdm, g.rewire([(y, z)], [(x, z)]))
     assert out.psi == psi_before - 2, "descent step must drop psi by exactly 2"
     return out
 

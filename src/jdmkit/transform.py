@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -10,12 +10,11 @@ from .core import (
     GraphError,
     LabeledGraph,
     Rso,
+    _SwapState,
     _edges_by_class_pair,
-    _movable_neighbor,
-    apply_rso,
     extract_jdm,
 )
-from .balance import balance, class_averages, imbalance
+from .balance import balance
 
 __all__ = [
     "Bipartite",
@@ -190,11 +189,13 @@ def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
     """
     if set(b1.left) != set(b2.left) or set(b1.right) != set(b2.right):
         raise GraphError("bipartition node sets differ")
+    left1, left2 = Counter(l for l, _ in b1.edges), Counter(l for l, _ in b2.edges)
     for l in b1.left:
-        if b1.degree_left(l) != b2.degree_left(l):
+        if left1[l] != left2[l]:
             raise GraphError(f"degree mismatch at left node {l!r}")
+    right1, right2 = Counter(r for _, r in b1.edges), Counter(r for _, r in b2.edges)
     for r in b1.right:
-        if b1.degree_right(r) != b2.degree_right(r):
+        if right1[r] != right2[r]:
             raise GraphError(f"degree mismatch at right node {r!r}")
     if b1.edges == b2.edges:
         return []
@@ -206,6 +207,31 @@ def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
     )
 
 
+def _class_state(g: LabeledGraph, j: int) -> _SwapState:
+    if j not in g.partition():
+        raise GraphError(f"class {j} is empty")
+    return _SwapState(g)
+
+
+def _is_mark(state: _SwapState, j: int, v: int, i: int) -> bool:
+    """Whether class-j vertex v sits on the high side of split class i."""
+    num, den = state.avg.get((j, i), (0, 1))
+    return (
+        state.classes.get(v) == j
+        and num % den != 0
+        and state.spec[v][i - 1] == num // den + 1
+    )
+
+
+def _aux(state: _SwapState, j: int) -> Bipartite:
+    if state.imbalance(j) != 0:
+        raise GraphError(f"class {j} is not balanced")
+    members, avg = state.part[j], state.avg
+    mixed = tuple(i for i in range(1, state.delta + 1) if avg[(j, i)][0] % avg[(j, i)][1])
+    edges = frozenset((v, i) for v in members for i in mixed if _is_mark(state, j, v, i))
+    return Bipartite(left=members, right=mixed, edges=edges)
+
+
 def aux_bipartite(g: LabeledGraph, j: int) -> Bipartite:
     """Which class-j vertices sit on the high side of each split class.
 
@@ -214,23 +240,27 @@ def aux_bipartite(g: LabeledGraph, j: int) -> Bipartite:
     neighbors; the edge (v, i) marks v as high for i.  Defined only when class
     j is balanced.
     """
-    part = g.partition()
-    if j not in part:
-        raise GraphError(f"class {j} is empty")
-    if imbalance(g, j) != 0:
+    return _aux(_class_state(g, j), j)
+
+
+def _lift(state: _SwapState, j: int, aux_swap: Tuple[int, int, int, int]) -> Rso:
+    """Apply lift_aux_swap's swap to the state in place; marks come from its counters."""
+    v, i, w, k = aux_swap
+    if state.imbalance(j) != 0:
         raise GraphError(f"class {j} is not balanced")
-    avgs = class_averages(extract_jdm(g))
-    mixed = []
-    for i in range(1, g.delta + 1):
-        if avgs.get(j, i).denominator != 1:
-            mixed.append(i)
-    edges = []
-    for v in part[j]:
-        spec = g.spectrum(v)
-        for i in mixed:
-            if spec[i - 1] == math.floor(avgs.get(j, i)) + 1:
-                edges.append((v, i))
-    return Bipartite(left=tuple(part[j]), right=tuple(mixed), edges=frozenset(edges))
+    if v == w or i == k:
+        raise GraphError("swap nodes must be distinct")
+    if not (_is_mark(state, j, v, i) and _is_mark(state, j, w, k)):
+        raise GraphError("swap requires marks (v,i) and (w,k) to be present")
+    if _is_mark(state, j, v, k) or _is_mark(state, j, w, i):
+        raise GraphError("swap requires marks (v,k) and (w,i) to be absent")
+    x = state.movable(v, i, w)
+    assert x is not None, "high vertex must own a movable class-i neighbor"
+    y = state.movable(w, k, v)
+    assert y is not None, "high vertex must own a movable class-k neighbor"
+    r = Rso(v, w, x, y, pivot_class=j)
+    state.swap(r)
+    return r
 
 
 def lift_aux_swap(
@@ -243,20 +273,9 @@ def lift_aux_swap(
     The witnesses exist by counting: v holds one more class-i neighbor than w,
     and w one more class-k neighbor than v.
     """
-    v, i, w, k = aux_swap
-    aux = aux_bipartite(g, j)
-    if v == w or i == k:
-        raise GraphError("swap nodes must be distinct")
-    if (v, i) not in aux.edges or (w, k) not in aux.edges:
-        raise GraphError("swap requires marks (v,i) and (w,k) to be present")
-    if (v, k) in aux.edges or (w, i) in aux.edges:
-        raise GraphError("swap requires marks (v,k) and (w,i) to be absent")
-    x = _movable_neighbor(g, v, i, w)
-    assert x is not None, "high vertex must own a movable class-i neighbor"
-    y = _movable_neighbor(g, w, k, v)
-    assert y is not None, "high vertex must own a movable class-k neighbor"
-    r = Rso(v, w, x, y, pivot_class=j)
-    return apply_rso(g, r), r
+    state = _class_state(g, j)
+    r = _lift(state, j, aux_swap)
+    return state.graph(), r
 
 
 def spectrum_align(
@@ -268,20 +287,17 @@ def spectrum_align(
     Aligning class j moves only class-j spectra, so earlier classes stay put.
     """
     _check_same_problem(g, h)
-    for side in (g, h):
-        for j in side.partition():
-            if imbalance(side, j) != 0:
+    cur, tgt = _SwapState(g), _SwapState(h)
+    for side in (cur, tgt):
+        for j in side.part:
+            if side.imbalance(j) != 0:
                 raise GraphError(f"class {j} is not balanced")
-    cur = g
     swaps: List[Rso] = []
-    for j in sorted(g.partition()):
-        target = aux_bipartite(h, j)
-        for l1, r1, l2, r2 in bipartite_swap_path(aux_bipartite(cur, j), target):
-            cur, r = lift_aux_swap(cur, j, (l1, r1, l2, r2))
-            swaps.append(r)
-    for v in cur.vertices:
-        assert cur.spectrum(v) == h.spectrum(v), "alignment must pin every spectrum"
-    return cur, swaps
+    for j in cur.part:
+        for l1, r1, l2, r2 in bipartite_swap_path(_aux(cur, j), _aux(tgt, j)):
+            swaps.append(_lift(cur, j, (l1, r1, l2, r2)))
+    assert cur.spec == tgt.spec, "alignment must pin every spectrum"
+    return (cur.graph() if swaps else g), swaps
 
 
 @dataclass(frozen=True)
@@ -300,8 +316,11 @@ class SwapSequence:
         if g.fingerprint() != self.source_fingerprint:
             raise GraphError("graph does not match the sequence's source")
         cur = g
-        for r in self.swaps:
-            cur = apply_rso(cur, r)
+        if self.swaps:
+            state = _SwapState(g)
+            for r in self.swaps:
+                state.swap(r)
+            cur = state.graph()
         if cur.fingerprint() != self.target_fingerprint:
             raise GraphError("replay did not land on the recorded target")
         return cur
@@ -320,7 +339,8 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     Route: balance both sides, align every spectrum, then equalize each
     class-pair subgraph with ordinary or side-respecting swaps (all of which
     keep their moved pair inside one class), and finally undo h's balancing
-    swaps in reverse.  The replay is verified before returning.
+    swaps in reverse.  Routing and unbalancing run on one swap state, which
+    validates every swap, and landing anywhere but h raises GraphError.
     """
     _check_same_problem(g, h)
     source_fp, target_fp = g.fingerprint(), h.fingerprint()
@@ -332,7 +352,8 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     swaps.extend(align_swaps)
     # Routing class pair (i, j) moves only that pair's edges, so both edge
     # sets can be split by pair once, up front.
-    part = cur.partition()
+    state = _SwapState(cur)
+    part = state.part
     tgt_pairs = _edges_by_class_pair(h1)
     for (i, j), cur_sub in _edges_by_class_pair(cur).items():
         tgt_sub = tgt_pairs[(i, j)]
@@ -352,11 +373,12 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
         # x1, x2 in class i.
         for x1, y1, x2, y2 in records:
             rso = Rso(x1, x2, y1, y2, pivot_class=i)
-            cur = apply_rso(cur, rso)
+            state.swap(rso)
             swaps.append(rso)
     for r in reversed(h_swaps):
         inv = r.inverse()
-        cur = apply_rso(cur, inv)
+        state.swap(inv)
         swaps.append(inv)
-    assert cur == h, "path must land exactly on the target"
+    if state.graph() != h:
+        raise GraphError("path must land exactly on the target")
     return SwapSequence(tuple(swaps), source_fp, target_fp)

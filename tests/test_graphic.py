@@ -1,5 +1,6 @@
 """Realizability checks and descent-based construction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -94,6 +95,31 @@ class TestDescent:
         state = CandidateState(j, LabeledGraph([(0, 1), (1, 2)], {0: 2, 1: 2, 2: 2}))
         with pytest.raises(GraphError, match="disagree with its matrix"):
             psi_descent_step(state)
+
+    def test_descent_refuses_counts_of_another_matrix(self):
+        # Every class's degree sum is right, so a descent would find its
+        # witnesses, but the state holds one class-1 edge and four class-2
+        # edges where the matrix asks for two cross edges and three class-2
+        # ones; descending from it would realize [[1, 0], [0, 4]].
+        j = Jdm([[0, 2], [2, 3]])
+        classes = {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2}
+        edges = [(0, 1), (2, 3), (3, 4), (4, 5), (2, 4)]
+        state = CandidateState(j, LabeledGraph(edges, classes))
+        with pytest.raises(GraphError, match="disagree with its matrix"):
+            psi_descent_step(state)
+        # A state copied from a trusted one with another graph is checked too.
+        trusted = initial_candidate(j)
+        with pytest.raises(GraphError, match="disagree with its matrix"):
+            psi_descent_step(dataclasses.replace(trusted, graph=state.graph))
+
+    def test_descent_accepts_a_consistent_hand_built_state(self):
+        j = Jdm([[0, 2], [2, 3]])
+        classes = {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2}
+        edges = [(0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]
+        state = CandidateState(j, LabeledGraph(edges, classes))
+        while state.psi:
+            state = psi_descent_step(state)
+        assert extract_jdm(state.graph) == j
 
 
 class TestConstruct:

@@ -1,0 +1,130 @@
+"""The incremental swap state against a from-scratch recount after every swap.
+
+Every swap that balance, spectrum_align, class-pair routing, unbalancing and
+replay make goes through one state; after each one its spectra, per-class
+imbalance and per-component deviation tallies must equal what all_spectra
+and the Fraction class averages give on the materialized graph.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from jdmkit.balance import balance, class_averages
+from jdmkit.core import LabeledGraph, _SwapState, all_spectra, extract_jdm
+from jdmkit.oracle import enumerate_realizations
+from jdmkit.transform import rso_path, spectrum_align
+
+PENDANT_OTHER = [(0, 3), (1, 3), (2, 7), (3, 4), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)]
+
+
+def recount(state):
+    g = state.graph()
+    spectra = all_spectra(g)
+    assert {v: tuple(s) for v, s in state.spec.items()} == spectra
+    avgs = class_averages(extract_jdm(g))
+    for j, members in g.partition().items():
+        tallies = {
+            i: sum(math.floor(abs(avgs.get(j, i) - spectra[v][i - 1])) for v in members)
+            for i in range(1, g.delta + 1)
+        }
+        assert {i: state.dev[(j, i)] for i in tallies} == tallies
+        assert state.imbalance(j) == sum(tallies.values())
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Recount after every state swap; yields the swap counter."""
+    swaps = [0]
+    plain = _SwapState.swap
+
+    def swap(self, r):
+        plain(self, r)
+        recount(self)
+        swaps[0] += 1
+
+    monkeypatch.setattr(_SwapState, "swap", swap)
+    return swaps
+
+
+def path_and_replay(g, h):
+    seq = rso_path(g, h)
+    assert seq.replay(g) == h
+    return seq
+
+
+def gnp_walk_pair(n, rng):
+    """G(n, 8/n) without isolated vertices, and a random restricted-swap walk of it."""
+    adj = {v: set() for v in range(n)}
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 8 / n:
+            adj[u].add(v)
+            adj[v].add(u)
+    adj = {v: ns for v, ns in adj.items() if ns}
+    g = LabeledGraph.from_edges((u, v) for u in adj for v in adj[u] if u < v)
+    stubs = [v for v in sorted(adj) for _ in adj[v]]
+    part = g.partition()
+    for _ in range(20 * g.m):
+        a = rng.choice(stubs)
+        b = rng.choice(part[len(adj[a])])
+        c, d = rng.choice(sorted(adj[a])), rng.choice(sorted(adj[b]))
+        if len({a, b, c, d}) != 4 or c in adj[b] or d in adj[a]:
+            continue
+        adj[a].remove(c), adj[c].remove(a), adj[b].remove(d), adj[d].remove(b)
+        adj[b].add(c), adj[c].add(b), adj[a].add(d), adj[d].add(a)
+    h = LabeledGraph.from_edges((u, v) for u in adj for v in adj[u] if u < v)
+    return g, h
+
+
+def test_fresh_state_matches_recount(pendant):
+    recount(_SwapState(pendant))
+    recount(_SwapState(LabeledGraph.from_edges(PENDANT_OTHER)))
+
+
+def test_pendant_every_phase(checked, pendant):
+    h = LabeledGraph.from_edges(PENDANT_OTHER)
+    bal, swaps = balance(pendant)
+    assert checked[0] == len(swaps) > 0
+    hb, _ = balance(h)
+    before = checked[0]
+    _, align = spectrum_align(bal, hb)
+    assert checked[0] - before == len(align) > 0
+    for g, t in ((pendant, h), (h, pendant)):
+        before = checked[0]
+        seq = path_and_replay(g, t)
+        # The path's swaps, the balancing of its target and the replay.
+        assert checked[0] - before > 2 * len(seq)
+
+
+def test_relabelled_pendant(checked, pendant):
+    def flip(edges):
+        return LabeledGraph.from_edges((7 - u, 7 - v) for u, v in edges)
+
+    g, h = flip(pendant.edges()), flip(PENDANT_OTHER)
+    path_and_replay(g, h)
+    path_and_replay(h, g)
+    assert checked[0] > 0
+
+
+def test_random_pool_pairs(checked):
+    rng = random.Random(2026)
+    pairs = 0
+    while pairs < 20:
+        edges = [e for e in itertools.combinations(range(7), 2) if rng.random() < 0.5]
+        if not edges:
+            continue
+        pool = enumerate_realizations(extract_jdm(LabeledGraph.from_edges(edges)), max_vertices=7)
+        if len(pool) < 2:
+            continue
+        path_and_replay(*rng.sample(pool, 2))
+        pairs += 1
+    assert checked[0] > 0
+
+
+def test_ladder_pair(checked):
+    g, h = gnp_walk_pair(32, random.Random(32))
+    assert g.edge_set() != h.edge_set()
+    seq = path_and_replay(g, h)
+    assert checked[0] > 2 * len(seq)

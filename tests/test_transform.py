@@ -1,10 +1,23 @@
 """Swap paths: plain graphs, side graphs, and full class-preserving routes."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from jdmkit.core import GraphError, Jdm, LabeledGraph, apply_rso, extract_jdm
+import jdmkit
+from jdmkit.core import (
+    GraphError,
+    Jdm,
+    LabeledGraph,
+    Rso,
+    SwapError,
+    apply_rso,
+    extract_jdm,
+)
 from jdmkit.balance import balance, imbalance
 from jdmkit.fileio import dumps_trace
 from jdmkit.oracle import enumerate_realizations
@@ -12,6 +25,7 @@ from jdmkit.transform import (
     Bipartite,
     aux_bipartite,
     bipartite_swap_path,
+    SwapSequence,
     lift_aux_swap,
     rso_path,
     simple_swap_path,
@@ -177,6 +191,36 @@ class TestAuxBipartite:
         assert (w, 3) not in moved.edges and (v, 3) in moved.edges
 
 
+    def test_lift_error_messages(self, pendant):
+        bal, _ = balance(pendant)
+        assert sorted(aux_bipartite(bal, 3).edges) == [(3, 1), (4, 1), (5, 1), (6, 3), (7, 3)]
+        cases = [
+            ((3, 1, 3, 3), "swap nodes must be distinct"),
+            ((3, 1, 4, 1), "swap nodes must be distinct"),
+            ((3, 1, 4, 3), r"marks \(v,i\) and \(w,k\) to be present"),
+            ((6, 1, 5, 3), r"marks \(v,i\) and \(w,k\) to be present"),
+            ((4, 3, 3, 1), r"marks \(v,i\) and \(w,k\) to be present"),
+        ]
+        for aux_swap, message in cases:
+            with pytest.raises(GraphError, match=message):
+                lift_aux_swap(bal, 3, aux_swap)
+        with pytest.raises(GraphError, match="class 3 is not balanced"):
+            lift_aux_swap(pendant, 3, (5, 1, 6, 3))
+        with pytest.raises(GraphError, match="class 2 is empty"):
+            lift_aux_swap(bal, 2, (5, 1, 6, 3))
+        # Class 4 of this balanced graph has vertices 0 and 1 both high for
+        # class 5, so moving (0, 4) and (1, 5) would stack two marks.
+        g = LabeledGraph.from_edges([
+            (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 6), (2, 3), (2, 5),
+            (2, 7), (2, 8), (3, 6), (3, 8), (4, 7), (4, 8), (5, 6), (5, 8),
+        ])
+        assert imbalance(g, 4) == 0
+        marks = aux_bipartite(g, 4).edges
+        assert {(0, 4), (0, 5), (1, 5)} <= marks
+        with pytest.raises(GraphError, match=r"marks \(v,k\) and \(w,i\) to be absent"):
+            lift_aux_swap(g, 4, (0, 4, 1, 5))
+
+
 class TestSpectrumAlign:
     def test_aligns_all_spectra(self, pendant):
         pool = enumerate_realizations(extract_jdm(pendant), max_vertices=8)
@@ -254,6 +298,63 @@ class TestRsoPath:
         for r in seq.swaps:
             cur = apply_rso(cur, r)
             assert extract_jdm(cur) == j
+
+
+    def test_replay_rejects_each_corrupted_swap(self, pendant, six_cycle, two_triangles):
+        h = LabeledGraph.from_edges(TestPinnedTraces.PENDANT_OTHER)
+        seq = rso_path(pendant, h)
+        s = seq.swaps[3]
+        assert str(s) == "0 1 7 3 1"
+        cases = [
+            (Rso(0, 0, 7, 3, 1), r"swap vertices \(0, 0, 7, 3\) are not pairwise distinct"),
+            (Rso(0, 1, 7, 9, 1), "unknown vertex 9"),
+            (Rso(0, 1, 7, 3, 3), "vertices 0, 1 must both be in class 3"),
+            (Rso(1, 0, 7, 3, 1), "required edge 1-7 is missing"),
+            (seq.swaps[4], "required edge 1-7 is missing"),
+        ]
+        for bad, message in cases:
+            swaps = seq.swaps[:3] + (bad,) + seq.swaps[4:]
+            corrupt = SwapSequence(swaps, seq.source_fingerprint, seq.target_fingerprint)
+            with pytest.raises(SwapError, match=f"^{message}$"):
+                corrupt.replay(pendant)
+        present = SwapSequence(
+            (Rso(2, 6, 1, 5, 2),), six_cycle.fingerprint(), two_triangles.fingerprint()
+        )
+        with pytest.raises(SwapError, match="^target edge 6-1 is already present$"):
+            present.replay(six_cycle)
+        short = SwapSequence(seq.swaps[:-1], seq.source_fingerprint, seq.target_fingerprint)
+        with pytest.raises(GraphError, match="did not land on the recorded target"):
+            short.replay(pendant)
+
+    def test_landing_check_survives_optimized_mode(self, six_cycle, two_triangles):
+        # With a record dropped from every class-pair route the path misses
+        # its target.  Under python -O the assert statements are gone, so
+        # only an explicit check can refuse the sequence.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from jdmkit import transform
+            from jdmkit.core import GraphError, LabeledGraph
+
+            assert sys.flags.optimize
+            route = transform._route_records
+            transform._route_records = lambda fwd, bwd: route(fwd, bwd)[:-1]
+            g = LabeledGraph.from_edges({list(six_cycle.edges())})
+            h = LabeledGraph.from_edges({list(two_triangles.edges())})
+            try:
+                seq = transform.rso_path(g, h)
+            except GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", len(seq), "swaps")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "GraphError: path must land exactly on the target\n"
 
 
 class TestPinnedTraces:
