@@ -110,7 +110,7 @@ class LabeledGraph:
     representable.  ``is_realization`` reports whether they agree everywhere.
     """
 
-    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_hash")
+    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta", "_hash")
 
     def __init__(self, edges: Iterable[Tuple[int, int]], classes: Mapping[int, int]):
         cls: Dict[int, int] = {}
@@ -141,6 +141,7 @@ class LabeledGraph:
             adj[v].add(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._vertices = tuple(sorted(cls))
+        self._delta = max(cls.values(), default=0)
         self._hash = None
 
     @classmethod
@@ -168,7 +169,7 @@ class LabeledGraph:
     @property
     def delta(self) -> int:
         """Largest degree class present (0 for the empty graph)."""
-        return max(self._classes.values(), default=0)
+        return self._delta
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(sorted(self._edges))
@@ -217,19 +218,49 @@ class LabeledGraph:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def rewire(self, remove: Iterable[Tuple[int, int]], add: Iterable[Tuple[int, int]]) -> "LabeledGraph":
-        """New graph with the same classes, some edges removed and others added."""
+        """New graph with the same classes, some edges removed and others added.
+
+        The result shares this graph's validated class map and vertex tuple
+        and rebuilds only the touched vertices' neighbor tuples.
+        """
         edges = set(self._edges)
+        moved = []  # (edge key, present afterwards), in call order
         for u, v in remove:
             key = (u, v) if u < v else (v, u)
             if key not in edges:
                 raise GraphError(f"cannot remove missing edge {u}-{v}")
             edges.remove(key)
+            moved.append((key, False))
         for u, v in add:
             key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise GraphError(f"cannot add existing edge {u}-{v}")
             edges.add(key)
-        return LabeledGraph(edges, self._classes)
+            moved.append((key, True))
+        classes = self._classes
+        near: Dict[int, set] = {}
+        for (u, v), present in moved:
+            if present and u == v:
+                raise GraphError(f"loop at vertex {u} not allowed")
+            if present and (u not in classes or v not in classes):
+                raise GraphError(f"edge {u}-{v} uses an unknown vertex")
+            for a, b in ((u, v), (v, u)):
+                ns = near.setdefault(a, set(self._adj[a]))
+                if present:
+                    ns.add(b)
+                else:
+                    ns.discard(b)
+        adj = dict(self._adj)
+        for v, ns in near.items():
+            adj[v] = tuple(sorted(ns))
+        out = LabeledGraph.__new__(LabeledGraph)
+        out._classes = classes
+        out._edges = frozenset(edges)
+        out._adj = adj
+        out._vertices = self._vertices
+        out._delta = self._delta
+        out._hash = None
+        return out
 
     def _require(self, v: int) -> None:
         if v not in self._classes:

@@ -127,13 +127,15 @@ class CandidateState:
     Vertex degrees may still disagree with their classes; psi totals that
     disagreement and reaches zero exactly at realizations.  States made by
     initial_candidate or psi_descent_step hold the counts by construction;
-    _verified marks them so descent checks only other states.  It is no init
-    field, so dataclasses.replace makes an unverified state.
+    _verified marks them so descent checks only other states.  psi is counted
+    once per state and kept in _psi.  Neither is an init field, so
+    dataclasses.replace makes an unverified, uncounted state.
     """
 
     jdm: Jdm
     graph: LabeledGraph
     _verified: bool = field(default=False, init=False, repr=False, compare=False)
+    _psi: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def _of(cls, jdm: Jdm, graph: LabeledGraph) -> "CandidateState":
@@ -144,8 +146,11 @@ class CandidateState:
 
     @property
     def psi(self) -> int:
-        g = self.graph
-        return sum(abs(g.degree(v) - g.class_of(v)) for v in g.vertices)
+        if self._psi is None:
+            adj = self.graph._adj
+            psi = sum(abs(len(adj[v]) - c) for v, c in self.graph._classes.items())
+            object.__setattr__(self, "_psi", psi)
+        return self._psi
 
     def pair_counts(self) -> Dict[Tuple[int, int], int]:
         pairs = _edges_by_class_pair(self.graph)
@@ -211,28 +216,23 @@ def psi_descent_step(s: CandidateState) -> CandidateState:
         raise GraphError(
             "the state's class sizes or class-pair edge counts disagree with its matrix"
         )
-    deficient = [v for v in g.vertices if g.degree(v) < g.class_of(v)]
-    assert deficient, "psi > 0 but no vertex is below its class"
-    x = min(deficient)
-    same = [
-        v
-        for v in g.partition()[g.class_of(x)]
-        if g.degree(v) > g.class_of(v)
-    ]
-    if not same:
+    adj, classes = g._adj, g._classes
+    x = min((v for v, c in classes.items() if len(adj[v]) < c), default=None)
+    if x is None:
+        raise GraphError("psi > 0 but no vertex is below its class")
+    cx = classes[x]
+    y = min((v for v, c in classes.items() if c == cx and len(adj[v]) > c), default=None)
+    if y is None:
         raise GraphError(
-            f"class {g.class_of(x)} has a deficient vertex but no surplus one: "
+            f"class {cx} has a deficient vertex but no surplus one: "
             "the state's class-pair edge counts disagree with its matrix"
         )
-    y = min(same)
-    z = None
-    for cand in g.neighbors(y):
-        if cand != x and not g.has_edge(x, cand):
-            z = cand
-            break
-    assert z is not None, "no shift target next to the surplus vertex"
+    z = next((w for w in adj[y] if w != x and not g.has_edge(x, w)), None)
+    if z is None:
+        raise GraphError("no shift target next to the surplus vertex")
     out = CandidateState._of(s.jdm, g.rewire([(y, z)], [(x, z)]))
-    assert out.psi == psi_before - 2, "descent step must drop psi by exactly 2"
+    if out.psi != psi_before - 2:
+        raise GraphError("descent step must drop psi by exactly 2")
     return out
 
 
@@ -243,5 +243,6 @@ def construct_realization(
     state = initial_candidate(j, labels)
     while state.psi > 0:
         state = psi_descent_step(state)
-    assert state.graph.is_realization()
+    if not state.graph.is_realization():
+        raise GraphError("descent ended on a graph that is not a realization")
     return state.graph

@@ -256,3 +256,101 @@ def test_random_rso_round_trips():
         assert apply_rso(nxt, r.inverse()) == cur
         assert extract_jdm(nxt) == extract_jdm(cur)
         cur = nxt
+
+
+class TestRewireDifferential:
+    """rewire derives its result from the source graph instead of rebuilding
+    it; every observable must match a graph built from scratch."""
+
+    @staticmethod
+    def random_graph(n, rng):
+        return LabeledGraph.from_edges(
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 8 / n
+        )
+
+    @staticmethod
+    def snapshot(g):
+        return (g.vertices, g.classes(), g.edges(), {v: g.neighbors(v) for v in g.vertices},
+                g.fingerprint(), hash(g), g.delta)
+
+    def assert_same_as_rebuilt(self, derived, source):
+        fresh = LabeledGraph(derived.edges(), source.classes())
+        assert derived.vertices == fresh.vertices
+        assert derived.classes() == fresh.classes()
+        assert derived.edges() == fresh.edges()
+        assert derived.edge_set() == fresh.edge_set()
+        for v in fresh.vertices:
+            assert derived.neighbors(v) == fresh.neighbors(v)
+        assert derived == fresh and fresh == derived
+        assert hash(derived) == hash(fresh)
+        assert derived.fingerprint() == fresh.fingerprint()
+        assert derived.delta == fresh.delta
+        assert derived.is_realization() == fresh.is_realization()
+        assert all_spectra(derived) == all_spectra(fresh)
+
+    def test_random_rewires_match_a_rebuild(self):
+        rng = random.Random(5)
+        g = self.random_graph(60, rng)
+        first = self.snapshot(g)
+        pairs = [(u, v) for u in g.vertices for v in g.vertices if u < v]
+        cur = g
+        for _ in range(250):
+            before = self.snapshot(cur)
+            present = [e for e in pairs if cur.has_edge(*e)]
+            absent = [e for e in pairs if not cur.has_edge(*e)]
+            remove = rng.sample(present, rng.randint(0, 3))
+            add = rng.sample(absent, rng.randint(0, 3))
+            if remove and rng.random() < 0.2:
+                add.append(remove[0])  # removed and put back in one call
+            # Either orientation names the same edge.
+            remove = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in remove]
+            add = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in add]
+            nxt = cur.rewire(remove=remove, add=add)
+            self.assert_same_as_rebuilt(nxt, cur)
+            assert self.snapshot(cur) == before
+            cur = nxt
+        assert self.snapshot(g) == first
+
+    def test_random_swaps_match_a_rebuild(self):
+        rng = random.Random(6)
+        g = self.random_graph(60, rng)
+        first = self.snapshot(g)
+        cur, applied = g, 0
+        while applied < 200:
+            part = cur.partition()
+            pivot = rng.choice([c for c, vs in part.items() if len(vs) > 1])
+            a, b = rng.sample(part[pivot], 2)
+            c, d = rng.choice(cur.neighbors(a)), rng.choice(cur.neighbors(b))
+            if len({a, b, c, d}) < 4 or cur.has_edge(b, c) or cur.has_edge(a, d):
+                continue
+            before = self.snapshot(cur)
+            nxt = apply_rso(cur, Rso(a, b, c, d, pivot_class=pivot))
+            self.assert_same_as_rebuilt(nxt, cur)
+            assert nxt.is_realization()
+            assert self.snapshot(cur) == before
+            cur, applied = nxt, applied + 1
+        assert self.snapshot(g) == first
+
+    @pytest.mark.parametrize(
+        "remove, add, message",
+        [
+            ([(1, 4)], [], "cannot remove missing edge 1-4"),
+            ([(1, 2), (2, 1)], [], "cannot remove missing edge 2-1"),
+            ([], [(1, 2)], "cannot add existing edge 1-2"),
+            ([], [(1, 4), (4, 1)], "cannot add existing edge 4-1"),
+            ([], [(3, 3)], "loop at vertex 3 not allowed"),
+            ([], [(1, 99)], "edge 1-99 uses an unknown vertex"),
+            ([], [(99, 1)], "edge 1-99 uses an unknown vertex"),
+            ([], [(99, 99)], "loop at vertex 99 not allowed"),
+            # Every remove and add is checked before any loop or vertex check.
+            ([], [(3, 3), (1, 2)], "cannot add existing edge 1-2"),
+            ([(2, 3)], [(1, 99), (1, 4)], "edge 1-99 uses an unknown vertex"),
+        ],
+    )
+    def test_rewire_errors(self, six_cycle, remove, add, message):
+        before = self.snapshot(six_cycle)
+        with pytest.raises(GraphError) as info:
+            six_cycle.rewire(remove=remove, add=add)
+        assert type(info.value) is GraphError
+        assert str(info.value) == message
+        assert self.snapshot(six_cycle) == before

@@ -1,11 +1,17 @@
 """Realizability checks and descent-based construction."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import jdmkit
+from jdmkit import graphic
 from jdmkit.core import GraphError, Jdm, LabeledGraph, extract_jdm, vertex_counts
 from jdmkit.graphic import (
     CandidateState,
@@ -167,3 +173,62 @@ class TestConstruct:
             assert extract_jdm(rebuilt) == j
             counts = vertex_counts(j)
             assert sum(counts) == rebuilt.n
+
+
+class TestDescentCost:
+    def test_one_graph_build_and_one_step_per_psi_drop(self, monkeypatch):
+        # Each step derives its graph from the previous one by rewire, so
+        # construction builds a LabeledGraph from scratch once, for the
+        # initial candidate, however many steps the descent takes.
+        rng = random.Random(200)
+        n = 200
+        g = LabeledGraph.from_edges(
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 8 / n
+        )
+        j = extract_jdm(g)
+        initial_psi = initial_candidate(j).psi
+        assert initial_psi >= 200
+        calls = {"init": 0, "step": 0}
+        init, step = LabeledGraph.__init__, graphic.psi_descent_step
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_step(s):
+            calls["step"] += 1
+            return step(s)
+
+        monkeypatch.setattr(LabeledGraph, "__init__", counted_init)
+        monkeypatch.setattr(graphic, "psi_descent_step", counted_step)
+        out = construct_realization(j)
+        assert calls == {"init": 1, "step": initial_psi // 2}
+        assert extract_jdm(out) == j
+
+    def test_psi_check_survives_optimized_mode(self):
+        # A rewire that adds x-z but keeps y-z lowers psi by one, not two.
+        # Under python -O the assert statements are gone, so only an
+        # explicit check can refuse the step.
+        script = textwrap.dedent(
+            """
+            import sys
+            from jdmkit.core import GraphError, Jdm, LabeledGraph
+            from jdmkit.graphic import construct_realization
+
+            assert sys.flags.optimize
+            rewire = LabeledGraph.rewire
+            LabeledGraph.rewire = lambda self, remove, add: rewire(self, [], add)
+            try:
+                g = construct_realization(Jdm([[0, 0, 3], [0, 0, 0], [3, 0, 6]]))
+            except GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", g)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "GraphError: descent step must drop psi by exactly 2\n"

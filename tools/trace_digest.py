@@ -18,7 +18,11 @@ Sections, each printed as ``name items sha256-prefix``:
 - ``ladder-balance`` and ``ladder-construct``: ``balance`` traces and
   ``construct_realization`` output on the ladder graphs and their matrices;
 - ``cli``: stdout JSON and written files of ``check``, ``construct``,
-  ``extract``, ``balance``, ``path`` and both ``sample`` chains, run in-process.
+  ``extract``, ``balance``, ``path`` and both ``sample`` chains, run in-process;
+- ``large-construct``: ``construct_realization`` output for the matrices of
+  fixed-seed G(n, 8/n) graphs at n = 200 and 400 (the benchmark's construct
+  workload runs at n = 400), where each construction takes hundreds of
+  descent steps.
 
 Takes about a minute on one core, most of it enumerating the small matrices.
 """
@@ -179,7 +183,13 @@ def main() -> int:
             ladder_construct.add(dumps_graph(construct_realization(extract_jdm(g))))
             if rep == 0:
                 cli_outputs(cli, g, h)
-    sections = (pool_paths, pool_balance, ladder_paths, ladder_balance, ladder_construct, cli)
+    large_construct = Section("large-construct")
+    large_rng = random.Random(400)
+    for n in (200, 400):
+        g = as_graph(ladder_graph(n, large_rng))
+        large_construct.add(dumps_graph(construct_realization(extract_jdm(g))))
+    sections = (pool_paths, pool_balance, ladder_paths, ladder_balance, ladder_construct, cli,
+                large_construct)
     total = hashlib.sha256()
     for s in sections:
         print(s.line())
