@@ -123,11 +123,17 @@ def balance_step(g: LabeledGraph, j: int) -> Tuple[LabeledGraph, Rso]:
     return state.graph(), r
 
 
-def balance(g: LabeledGraph) -> Tuple[LabeledGraph, List[Rso]]:
-    """Drive every class's imbalance to zero; at most sum-of-imbalances swaps."""
-    state = _SwapState(g)
+def _balance(state: _SwapState) -> List[Rso]:
+    """Balance every class of the state in place, class by class; return the swaps."""
     swaps: List[Rso] = []
     for j in state.part:
         while state.imbalance(j) > 0:
             swaps.append(_balance_step(state, j))
+    return swaps
+
+
+def balance(g: LabeledGraph) -> Tuple[LabeledGraph, List[Rso]]:
+    """Drive every class's imbalance to zero; at most sum-of-imbalances swaps."""
+    state = _SwapState(g)
+    swaps = _balance(state)
     return (state.graph() if swaps else g), swaps

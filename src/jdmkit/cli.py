@@ -30,6 +30,7 @@ from .oracle import enumerate_configurations, enumerate_realizations
 from .sampler import (
     ChainRunner,
     Configuration,
+    _build_model,
     autocorrelation,
     build_model,
     embed_realization,
@@ -188,10 +189,13 @@ def _cmd_sample(args) -> int:
     j = load_jdm(args.matrix)
     start_graph = None
     if args.start and args.chain != "direct":
+        # The model takes the start graph's own classes, whatever its labels.
         start_graph = load_graph(args.start)
-    model = build_model(
-        j, labels=sorted(start_graph.vertices) if start_graph else None
-    )
+        if extract_jdm(start_graph) != j:
+            raise GraphError("graph and model matrices differ")
+        model = _build_model(j, start_graph.classes())
+    else:
+        model = build_model(j)
     payload: dict = {
         "chain": args.chain,
         "steps": args.steps,

@@ -332,14 +332,15 @@ def _partition(classes: Mapping[int, int]) -> Dict[int, Tuple[int, ...]]:
     return {c: tuple(vs) for c, vs in sorted(part.items())}
 
 
-def _edges_by_class_pair(g: LabeledGraph) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+def _edges_by_class_pair(
+    classes: Mapping[int, int], edges: Iterable[Tuple[int, int]]
+) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
     """Sorted edges per class pair (i, j), i <= j, each oriented class i first.
 
-    Pairs come in ascending order; within-class edges keep u < v.
+    Edges come in with u < v, which within-class edges keep; pairs ascend.
     """
-    classes = g._classes
     pairs: Dict[Tuple[int, int], list] = {}
-    for u, v in g.edge_set():
+    for u, v in edges:
         i, j = classes[u], classes[v]
         if i > j:
             i, j, u, v = j, i, v, u
@@ -533,9 +534,12 @@ class _SwapState:
         self.imb[j] += change
         spec[i - 1] = s + step
 
+    def edges(self) -> List[Tuple[int, int]]:
+        """Current edges as (u, v) pairs with u < v."""
+        return [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
+
     def graph(self) -> LabeledGraph:
-        edges = [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
-        return LabeledGraph(edges, self.classes)
+        return LabeledGraph(self.edges(), self.classes)
 
 
 def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:

@@ -153,7 +153,7 @@ class CandidateState:
         return self._psi
 
     def pair_counts(self) -> Dict[Tuple[int, int], int]:
-        pairs = _edges_by_class_pair(self.graph)
+        pairs = _edges_by_class_pair(self.graph._classes, self.graph.edge_set())
         return {pair: len(edges) for pair, edges in pairs.items()}
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, _assign_labels, vertex_counts
+from .core import GraphError, Jdm, LabeledGraph, _assign_labels, _partition, vertex_counts
 from .sampler import Configuration, build_model, to_multigraph
 
 __all__ = [
@@ -46,9 +46,7 @@ def enumerate_realizations(
     if max_vertices is not None and total > max_vertices:
         raise GraphError(f"{total} vertices exceeds the limit of {max_vertices}")
     classes = _assign_labels(j, labels)
-    part: Dict[int, List[int]] = {c: [] for c in range(1, j.k + 1)}
-    for v in sorted(classes):
-        part[classes[v]].append(v)
+    part = _partition(classes)
     pairs = [
         (i, l)
         for i in range(1, j.k + 1)
@@ -56,7 +54,7 @@ def enumerate_realizations(
         if j.entry(i, l) > 0
     ]
     pairs += [(i, i) for i in range(1, j.k + 1) if j.entry(i, i) > 0]
-    caps = {v: classes[v] for v in classes}
+    caps = dict(classes)
     edges: List[Tuple[int, int]] = []
     results: List[LabeledGraph] = []
 

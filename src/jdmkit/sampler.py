@@ -13,6 +13,7 @@ Over simple graphs all fibers have one constant size, which is what chain "b"
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -105,7 +106,11 @@ class MultiGraphRealization:
 
 def build_model(j: Jdm, labels: Optional[List[int]] = None) -> ConfigModel:
     """Lay out mini-vertices and edge-points; needs integral class counts."""
-    classes = _assign_labels(j, labels)
+    return _build_model(j, _assign_labels(j, labels))
+
+
+def _build_model(j: Jdm, classes: Dict[int, int]) -> ConfigModel:
+    """build_model over a vertex -> class map holding the matrix's class sizes."""
     sizes = _class_sizes(j)
     minis: Dict[int, List[Tuple[int, int]]] = {c: [] for c in range(1, j.k + 1)}
     for c, members in _partition(classes).items():
@@ -332,7 +337,7 @@ def embed_realization(g: LabeledGraph, m: ConfigModel) -> Configuration:
         raise GraphError("graph and model matrices differ")
     if g.classes() != m.classes:
         raise GraphError("graph and model partitions differ")
-    edges_by_pair = _edges_by_class_pair(g)
+    edges_by_pair = _edges_by_class_pair(g._classes, g.edge_set())
     match = []
     for c in m.component_classes:
         next_slot: Dict[int, int] = {}
@@ -376,22 +381,21 @@ def autocorrelation(series, max_lag: int) -> AutocorrelationResult:
 
     The integrated time sums estimates over the leading run of positive lags
     (initial-positive-sequence truncation).  A constant series is defined to
-    have zero correlation beyond lag zero.
+    have zero correlation beyond lag zero.  Sums are correctly rounded (fsum).
     """
-    import numpy as np
-
-    x = np.asarray(list(series), dtype=float)
-    n = x.size
+    x = [float(v) for v in series]
+    n = len(x)
     if n <= max_lag:
         raise GraphError(f"series of length {n} cannot support lag {max_lag}")
-    d = x - x.mean()
-    c0 = float(np.dot(d, d)) / n
+    mean = math.fsum(x) / n
+    d = [v - mean for v in x]
+    c0 = math.fsum(v * v for v in d) / n
     if c0 == 0.0:
         rho = (1.0,) + (0.0,) * max_lag
         return AutocorrelationResult(rho=rho, integrated_time=1.0)
     rho = [1.0]
     for k in range(1, max_lag + 1):
-        rho.append(float(np.dot(d[:-k], d[k:])) / n / c0)
+        rho.append(math.fsum(map(operator.mul, d, d[k:])) / n / c0)
     tau = 1.0
     for k in range(1, max_lag + 1):
         if rho[k] <= 0.0:

@@ -14,7 +14,7 @@ from .core import (
     _edges_by_class_pair,
     extract_jdm,
 )
-from .balance import balance
+from .balance import _balance
 
 __all__ = [
     "Bipartite",
@@ -55,20 +55,15 @@ def _forced_wiring(adj, schedule) -> List[Tuple]:
     active = set(adj)
     for w, targets in schedule(active):
         while True:
-            wanted = sorted(x for x in targets if x not in adj[w])
-            if not wanted:
+            x = min((t for t in targets if t not in adj[w]), default=None)
+            if x is None:
                 break
-            x = wanted[0]
-            spare = [u for u in sorted(adj[w]) if u in active and u not in targets]
-            assert spare, "neighborhood and target set sizes must match"
-            z = spare[0]
-            picks = [
-                u
-                for u in sorted(adj[x])
-                if u in active and u != z and u not in adj[z]
-            ]
-            assert picks, "missing witness for a forced swap"
-            y = picks[0]
+            z = min((u for u in adj[w] if u in active and u not in targets), default=None)
+            if z is None:
+                raise GraphError("neighborhood and target set sizes must match")
+            y = min((u for u in adj[x] if u in active and u != z and u not in adj[z]), default=None)
+            if y is None:
+                raise GraphError("missing witness for a forced swap")
             adj[w].remove(z)
             adj[z].remove(w)
             adj[x].remove(y)
@@ -155,7 +150,8 @@ def _route_records(fwd_pack, bwd_pack) -> List[Tuple]:
     """Join two canonization routes into one path: forward, then backward."""
     fwd, canon_f = fwd_pack
     bwd, canon_b = bwd_pack
-    assert canon_f == canon_b, "both routes must reach one canonical form"
+    if canon_f != canon_b:
+        raise GraphError("both routes must reach one canonical form")
     # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
     return fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
 
@@ -255,9 +251,11 @@ def _lift(state: _SwapState, j: int, aux_swap: Tuple[int, int, int, int]) -> Rso
     if _is_mark(state, j, v, k) or _is_mark(state, j, w, i):
         raise GraphError("swap requires marks (v,k) and (w,i) to be absent")
     x = state.movable(v, i, w)
-    assert x is not None, "high vertex must own a movable class-i neighbor"
+    if x is None:
+        raise GraphError("high vertex must own a movable class-i neighbor")
     y = state.movable(w, k, v)
-    assert y is not None, "high vertex must own a movable class-k neighbor"
+    if y is None:
+        raise GraphError("high vertex must own a movable class-k neighbor")
     r = Rso(v, w, x, y, pivot_class=j)
     state.swap(r)
     return r
@@ -286,18 +284,24 @@ def spectrum_align(
     Both inputs must be balanced realizations of one matrix on one partition.
     Aligning class j moves only class-j spectra, so earlier classes stay put.
     """
-    _check_same_problem(g, h)
-    cur, tgt = _SwapState(g), _SwapState(h)
+    cur, tgt = _problem_states(g, h)
+    swaps = _align(cur, tgt)
+    return (cur.graph() if swaps else g), swaps
+
+
+def _align(cur: _SwapState, tgt: _SwapState) -> List[Rso]:
+    """Swap cur in place until its spectra equal tgt's; return the swaps."""
     for side in (cur, tgt):
         for j in side.part:
             if side.imbalance(j) != 0:
                 raise GraphError(f"class {j} is not balanced")
     swaps: List[Rso] = []
     for j in cur.part:
-        for l1, r1, l2, r2 in bipartite_swap_path(_aux(cur, j), _aux(tgt, j)):
-            swaps.append(_lift(cur, j, (l1, r1, l2, r2)))
-    assert cur.spec == tgt.spec, "alignment must pin every spectrum"
-    return (cur.graph() if swaps else g), swaps
+        for aux_swap in bipartite_swap_path(_aux(cur, j), _aux(tgt, j)):
+            swaps.append(_lift(cur, j, aux_swap))
+    if cur.spec != tgt.spec:
+        raise GraphError("alignment must pin every spectrum")
+    return swaps
 
 
 @dataclass(frozen=True)
@@ -326,11 +330,12 @@ class SwapSequence:
         return cur
 
 
-def _check_same_problem(g: LabeledGraph, h: LabeledGraph) -> None:
+def _problem_states(g: LabeledGraph, h: LabeledGraph) -> Tuple[_SwapState, _SwapState]:
     if extract_jdm(g) != extract_jdm(h):
         raise GraphError("matrices differ")
     if g.classes() != h.classes():
         raise GraphError("vertex partitions differ")
+    return _SwapState(g), _SwapState(h)
 
 
 def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
@@ -339,46 +344,39 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     Route: balance both sides, align every spectrum, then equalize each
     class-pair subgraph with ordinary or side-respecting swaps (all of which
     keep their moved pair inside one class), and finally undo h's balancing
-    swaps in reverse.  Routing and unbalancing run on one swap state, which
-    validates every swap, and landing anywhere but h raises GraphError.
+    swaps in reverse.  All four phases run on one swap state per side, which
+    validates every swap; landing anywhere but h raises GraphError.
     """
-    _check_same_problem(g, h)
+    cur, tgt = _problem_states(g, h)
     source_fp, target_fp = g.fingerprint(), h.fingerprint()
     if g == h:
         return SwapSequence((), source_fp, target_fp)
-    cur, swaps = balance(g)
-    h1, h_swaps = balance(h)
-    cur, align_swaps = spectrum_align(cur, h1)
-    swaps.extend(align_swaps)
+    swaps = _balance(cur)
+    h_swaps = _balance(tgt)
+    swaps.extend(_align(cur, tgt))
     # Routing class pair (i, j) moves only that pair's edges, so both edge
     # sets can be split by pair once, up front.
-    state = _SwapState(cur)
-    part = state.part
-    tgt_pairs = _edges_by_class_pair(h1)
-    for (i, j), cur_sub in _edges_by_class_pair(cur).items():
+    part = cur.part
+    tgt_pairs = _edges_by_class_pair(tgt.classes, tgt.edges())
+    for (i, j), cur_sub in _edges_by_class_pair(cur.classes, cur.edges()).items():
         tgt_sub = tgt_pairs[(i, j)]
         if cur_sub == tgt_sub:
             continue
         if i == j:
-            records = _route_records(
-                _canonize_simple(cur_sub, part[i]),
-                _canonize_simple(tgt_sub, part[i]),
-            )
+            canonize, sides = _canonize_simple, (part[i],)
         else:
-            records = bipartite_swap_path(
-                Bipartite(part[i], part[j], frozenset(cur_sub)),
-                Bipartite(part[i], part[j], frozenset(tgt_sub)),
-            )
+            canonize, sides = _canonize_bipartite, (part[i], part[j])
+        records = _route_records(canonize(cur_sub, *sides), canonize(tgt_sub, *sides))
         # Both record kinds remove x1-y1, x2-y2 and add x1-y2, x2-y1, with
         # x1, x2 in class i.
         for x1, y1, x2, y2 in records:
             rso = Rso(x1, x2, y1, y2, pivot_class=i)
-            state.swap(rso)
+            cur.swap(rso)
             swaps.append(rso)
     for r in reversed(h_swaps):
         inv = r.inverse()
-        state.swap(inv)
+        cur.swap(inv)
         swaps.append(inv)
-    if state.graph() != h:
+    if cur.graph() != h:
         raise GraphError("path must land exactly on the target")
     return SwapSequence(tuple(swaps), source_fp, target_fp)

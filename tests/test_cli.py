@@ -326,6 +326,37 @@ class TestSample:
         assert extract_jdm(g) == Jdm([[0, 0], [0, 6]])
 
 
+    @pytest.mark.parametrize("chain", ["a", "b"])
+    def test_start_labelled_out_of_degree_order(self, chain, jdm_file, tmp_path, capsys):
+        # The path 0-1 1-2 has its class-2 vertex between the class-1 ones,
+        # so labels in sorted order do not give its classes.
+        start = tmp_path / "path.txt"
+        start.write_text("3 2\n0 1\n1 2\n")
+        last = str(tmp_path / "last.txt")
+        code, payload = run_json(
+            [
+                "sample", jdm_file([[0, 2], [2, 0]]),
+                "--chain", chain, "--steps", "20", "--seed", "1",
+                "--start", str(start), "--save-last", last,
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert payload["retained_samples"] == 20
+        assert load_graph(last).classes() == {0: 1, 1: 2, 2: 1}
+
+    def test_start_of_another_matrix_is_refused(self, jdm_file, graph_file, six_cycle, capsys):
+        code = run(
+            [
+                "sample", jdm_file([[0, 2], [2, 0]]),
+                "--chain", "b", "--steps", "5", "--seed", "1",
+                "--start", graph_file(six_cycle),
+            ]
+        )
+        assert code == 1
+        assert "matrices differ" in capsys.readouterr().err
+
+
 class TestErrorHandling:
     def test_missing_file_is_an_io_error(self, capsys):
         assert run(["check", "/nonexistent/matrix.txt"]) == 2

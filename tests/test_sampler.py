@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import jdmkit
 from jdmkit.core import GraphError, Jdm, LabeledGraph, extract_jdm
 from jdmkit.graphic import construct_realization
 from jdmkit.sampler import (
@@ -299,3 +304,32 @@ class TestAutocorrelation:
     def test_series_must_exceed_the_lag(self):
         with pytest.raises(GraphError, match="lag"):
             autocorrelation([1.0, 2.0], max_lag=2)
+
+    def test_matches_exact_arithmetic(self):
+        rng = random.Random(11)
+        for n in (5, 12, 30):
+            series = [rng.choice((0.0, 1.0, 0.5, 3.25)) for _ in range(n)]
+            if len(set(series)) == 1:
+                continue
+            x = [Fraction(v) for v in series]
+            mean = sum(x) / n
+            d = [v - mean for v in x]
+            c0 = sum(v * v for v in d)
+            out = autocorrelation(series, max_lag=n - 1)
+            for k, got in enumerate(out.rho):
+                exact = sum(d[i] * d[i + k] for i in range(n - k)) / c0
+                assert abs(got - float(exact)) <= 1e-12
+
+    def test_runs_without_numpy(self):
+        script = (
+            "import sys, jdmkit\n"
+            "from jdmkit.sampler import autocorrelation\n"
+            "autocorrelation([0.0, 1.0, 1.0, 0.0, 1.0], max_lag=2)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "False\n"

@@ -9,11 +9,12 @@ and the Fraction class averages give on the materialized graph.
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from jdmkit.balance import balance, class_averages
-from jdmkit.core import LabeledGraph, _SwapState, all_spectra, extract_jdm
+from jdmkit.core import Jdm, LabeledGraph, _SwapState, all_spectra, extract_jdm
 from jdmkit.oracle import enumerate_realizations
 from jdmkit.transform import rso_path, spectrum_align
 
@@ -108,19 +109,50 @@ def test_relabelled_pendant(checked, pendant):
     assert checked[0] > 0
 
 
-def test_random_pool_pairs(checked):
-    rng = random.Random(2026)
-    pairs = 0
-    while pairs < 20:
+def pool_pairs(rng, count):
+    """count pairs of distinct realizations of random matrices on at most 7 vertices."""
+    pairs = []
+    while len(pairs) < count:
         edges = [e for e in itertools.combinations(range(7), 2) if rng.random() < 0.5]
         if not edges:
             continue
         pool = enumerate_realizations(extract_jdm(LabeledGraph.from_edges(edges)), max_vertices=7)
-        if len(pool) < 2:
-            continue
-        path_and_replay(*rng.sample(pool, 2))
-        pairs += 1
+        if len(pool) >= 2:
+            pairs.append(rng.sample(pool, 2))
+    return pairs
+
+
+def test_random_pool_pairs(checked):
+    for g, h in pool_pairs(random.Random(2026), 20):
+        path_and_replay(g, h)
     assert checked[0] > 0
+
+
+def test_one_state_per_side_per_path(monkeypatch):
+    # rso_path checks the problem once, then balances, aligns, routes and
+    # unbalances on one swap state per side; only the landing check builds a
+    # graph.  Each state extracts its matrix, as the problem check does.
+    pairs = pool_pairs(random.Random(2027), 24)
+    calls = Counter()
+
+    def count(cls, name):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count(_SwapState, "state")
+    count(Jdm, "jdm")
+    count(LabeledGraph, "graph")
+    for g, h in pairs:
+        calls.clear()
+        rso_path(g, h)
+        assert calls["state"] == 2, calls
+        assert calls["jdm"] <= 4, calls
+        assert calls["graph"] <= 1, calls
 
 
 def test_ladder_pair(checked):

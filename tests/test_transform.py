@@ -356,6 +356,46 @@ class TestRsoPath:
         ).stdout
         assert out == "GraphError: path must land exactly on the target\n"
 
+    @pytest.mark.parametrize(
+        "sabotage, message",
+        [
+            # The forward route claims to end where it started, so the two
+            # routes of class pair (3, 3) disagree on the canonical graph.
+            (
+                "simple = transform._canonize_simple; "
+                "transform._canonize_simple = lambda es, vs: (simple(es, vs)[0], frozenset(es))",
+                "both routes must reach one canonical form",
+            ),
+            # Side-graph paths that never move leave class 3's spectra apart.
+            ("transform.bipartite_swap_path = lambda b1, b2: []", "alignment must pin every spectrum"),
+        ],
+    )
+    def test_invariants_survive_optimized_mode(self, pendant, sabotage, message):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from jdmkit import transform
+            from jdmkit.core import GraphError, LabeledGraph
+
+            assert sys.flags.optimize
+            {sabotage}
+            g = LabeledGraph.from_edges({list(pendant.edges())})
+            h = LabeledGraph.from_edges({TestPinnedTraces.PENDANT_OTHER})
+            try:
+                seq = transform.rso_path(g, h)
+            except GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", len(seq), "swaps")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == f"GraphError: {message}\n"
+
 
 class TestPinnedTraces:
     """Exact swap lists, so a refactor that changes which path is produced

@@ -84,8 +84,8 @@ def small_matrices():
 
 def ladder_graph(n: int, rng: random.Random):
     """G(n, 8/n) with 4(n-1) edges as adjacency sets, isolated vertices dropped
-    and the rest relabelled 0, 1, ... by degree: the labels ``jdm sample``
-    gives each class, so the graph can start a chain."""
+    and the rest relabelled 0, 1, ... by degree, so that trees whose
+    ``jdm sample --start`` assumed class-ordered labels run the same digest."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     adj = {v: set() for v in range(n)}
     for u, v in rng.sample(pairs, 4 * (n - 1)):
