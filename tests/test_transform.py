@@ -45,6 +45,15 @@ def replay_simple(edges, records):
     return cur
 
 
+def optimized_stdout(script):
+    """Standard output of script run under python -O against this jdmkit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def replay_bipartite(edges, records):
     cur = set(edges)
     for l1, r1, l2, r2 in records:
@@ -349,11 +358,7 @@ class TestRsoPath:
                 print("returned", len(seq), "swaps")
             """
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout
+        out = optimized_stdout(script)
         assert out == "GraphError: path must land exactly on the target\n"
 
     @pytest.mark.parametrize(
@@ -389,11 +394,7 @@ class TestRsoPath:
                 print("returned", len(seq), "swaps")
             """
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout
+        out = optimized_stdout(script)
         assert out == f"GraphError: {message}\n"
 
 
