@@ -84,13 +84,15 @@ def _balance_step(state: _SwapState, j: int) -> Rso:
         raise GraphError(f"class {j} is already balanced")
     members, spec = state.part[j], state.spec
     i = next((i for i in range(1, state.delta + 1) if state.dev[(j, i)] > 0), None)
-    assert i is not None, "positive imbalance must expose a witness class"
+    if i is None:
+        raise GraphError("positive imbalance must expose a witness class")
     u = min(members, key=lambda v: (spec[v][i - 1], v))
     v = min(members, key=lambda x: (-spec[x][i - 1], x))
     # The extreme spread is at least 2 whenever any deviation is positive, so
     # a neighbor of v in the witness class avoiding u and its neighborhood exists.
     w = state.movable(v, i, u)
-    assert w is not None, "no movable witness-class neighbor at the top vertex"
+    if w is None:
+        raise GraphError("no movable witness-class neighbor at the top vertex")
     z = None
     for k in range(1, state.delta + 1):
         if k == i or spec[u][k - 1] <= spec[v][k - 1]:
@@ -98,16 +100,19 @@ def _balance_step(state: _SwapState, j: int) -> Rso:
         z = state.movable(u, k, v)
         if z is not None:
             break
-    assert z is not None, "no return-class neighbor at the bottom vertex"
+    if z is None:
+        raise GraphError("no return-class neighbor at the bottom vertex")
     # Runtime check that the ordering chain holds with two strict inequalities.
     num, den = state.avg[(j, i)]
     floor, ceil = num // den, -(-num // den)
     lo, hi = spec[u][i - 1], spec[v][i - 1]
     strict = (lo < floor) + (floor < ceil) + (ceil < hi)
-    assert lo <= floor <= ceil <= hi and strict >= 2
+    if not (lo <= floor <= ceil <= hi and strict >= 2):
+        raise GraphError("witness-class counts must straddle the average at least 2 apart")
     r = Rso(v, u, w, z, pivot_class=j)
     state.swap(r)
-    assert state.imbalance(j) < before, "swap must strictly lower the imbalance"
+    if state.imbalance(j) >= before:
+        raise GraphError("swap must strictly lower the imbalance")
     return r
 
 

@@ -353,6 +353,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> int:

@@ -360,6 +360,11 @@ def _require_realization(g: LabeledGraph) -> None:
 def extract_jdm(g: LabeledGraph) -> Jdm:
     """Count edges per class pair; within-class edges are counted once."""
     _require_realization(g)
+    return _pair_matrix(g)
+
+
+def _pair_matrix(g: LabeledGraph) -> Jdm:
+    """extract_jdm's count over g's class map, realization or not."""
     k = g.delta
     rows = [[0] * k for _ in range(k)]
     classes = g._classes
@@ -453,20 +458,33 @@ def apply_rso(g: LabeledGraph, r: Rso) -> LabeledGraph:
     )
 
 
+def _exchange(adj, a, b, c, d) -> None:
+    """Trade edges a-c, b-d for b-c, a-d in adj (node -> neighbor set)."""
+    adj[a].remove(c)
+    adj[c].remove(a)
+    adj[b].remove(d)
+    adj[d].remove(b)
+    adj[b].add(c)
+    adj[c].add(b)
+    adj[a].add(d)
+    adj[d].add(a)
+
+
 class _SwapState:
     """A realization under restricted swaps, updated in place.
 
-    Holds adjacency sets, each vertex's spectrum, the class averages of the
-    matrix (fixed, since a swap never changes the matrix) and, per class j
-    and component i, the tally of floor(|A_j(i) - s_i(v)|) over class j, with
-    its sum over i per class.  A swap touches the spectra of its two pivots
-    only, so it updates all of this in O(1).
+    Holds the matrix and its class averages (fixed, since a swap never
+    changes the matrix), adjacency sets, each vertex's spectrum and, per
+    class j and component i, the tally of floor(|A_j(i) - s_i(v)|) over
+    class j, with its sum over i per class.  A swap touches the spectra of
+    its two pivots only, so it updates all of this in O(1).
     """
 
-    __slots__ = ("classes", "adj", "part", "delta", "spec", "avg", "dev", "imb")
+    __slots__ = ("jdm", "classes", "adj", "part", "delta", "spec", "avg", "dev", "imb")
 
     def __init__(self, g: LabeledGraph):
-        self.avg = avg = _average_table(extract_jdm(g))
+        self.jdm = extract_jdm(g)
+        self.avg = avg = _average_table(self.jdm)
         self.classes = classes = g._classes
         self.adj = {v: set(ns) for v, ns in g._adj.items()}
         self.part = g.partition()
@@ -508,15 +526,7 @@ class _SwapState:
         """Validate r exactly as Rso.validate does, then apply it."""
         r._check(self.classes, self.has_edge)
         a, b, c, d = r.a, r.b, r.c, r.d
-        adj = self.adj
-        adj[a].remove(c)
-        adj[c].remove(a)
-        adj[b].remove(d)
-        adj[d].remove(b)
-        adj[b].add(c)
-        adj[c].add(b)
-        adj[a].add(d)
-        adj[d].add(a)
+        _exchange(self.adj, a, b, c, d)
         # c and d keep their spectra, since a and b share a class; a trades a
         # class(c) neighbor for a class(d) one and b the reverse.
         ic, id_ = self.classes[c], self.classes[d]

@@ -14,6 +14,7 @@ from .core import (
     _assign_labels,
     _class_sizes,
     _edges_by_class_pair,
+    _pair_matrix,
     _partition,
     vertex_counts,
 )
@@ -186,16 +187,9 @@ def initial_candidate(j: Jdm, labels: Optional[Sequence[int]] = None) -> Candida
 
 def _fits_matrix(s: CandidateState) -> bool:
     """Whether the state's class sizes and class-pair edge counts are its matrix's."""
-    j, rows = s.jdm, s.jdm.rows
-    sizes = {c: n for c, n in enumerate(_class_sizes(j), start=1) if n}
-    pairs = {
-        (i, l): rows[i - 1][l - 1]
-        for i in range(1, j.k + 1)
-        for l in range(i, j.k + 1)
-        if rows[i - 1][l - 1]
-    }
+    sizes = {c: n for c, n in enumerate(_class_sizes(s.jdm), start=1) if n}
     part = s.graph.partition()
-    return {c: len(vs) for c, vs in part.items()} == sizes and s.pair_counts() == pairs
+    return {c: len(vs) for c, vs in part.items()} == sizes and _pair_matrix(s.graph) == s.jdm
 
 
 def psi_descent_step(s: CandidateState) -> CandidateState:

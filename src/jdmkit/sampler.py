@@ -128,7 +128,8 @@ def _build_model(j: Jdm, classes: Dict[int, int]) -> ConfigModel:
                 points[l].append((pair, e, 1))
     for c in range(1, j.k + 1):
         points[c].sort()
-        assert len(points[c]) == len(minis[c]) == c * sizes[c - 1]
+        if not len(points[c]) == len(minis[c]) == c * sizes[c - 1]:
+            raise GraphError(f"class {c} must hold {c * sizes[c - 1]} mini-vertices and edge-points")
     component_classes = tuple(c for c in range(1, j.k + 1) if minis[c])
     return ConfigModel(
         jdm=j,
@@ -167,7 +168,8 @@ def to_multigraph(c: Configuration) -> MultiGraphRealization:
     counts: Dict[Tuple[int, int], int] = {}
     simple = True
     for (_pair, _e), vs in _label_endpoints(m, c.match).items():
-        assert len(vs) == 2, "every edge label must receive exactly two points"
+        if len(vs) != 2:
+            raise GraphError("every edge label must receive exactly two points")
         u, v = sorted(vs)
         key = (u, v)
         counts[key] = counts.get(key, 0) + 1
@@ -317,16 +319,16 @@ class ChainRunner:
 
 def chain_a_step(c: Configuration, rng) -> Configuration:
     """One lazy matching-exchange step; the result is always a configuration."""
-    runner = ChainRunner(c.model, c, "a", rng)
-    runner.step()
-    return runner.configuration()
+    return _chain_step(c, rng, "a")
 
 
 def chain_b_step(c: Configuration, rng) -> Configuration:
     """Chain-a proposal, rejected unless the multigraph stays simple."""
-    if not to_multigraph(c).is_simple:
-        raise GraphError("chain b requires a simple configuration")
-    runner = ChainRunner(c.model, c, "b", rng)
+    return _chain_step(c, rng, "b")
+
+
+def _chain_step(c: Configuration, rng, kind: str) -> Configuration:
+    runner = ChainRunner(c.model, c, kind, rng)
     runner.step()
     return runner.configuration()
 

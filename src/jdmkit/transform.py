@@ -12,7 +12,7 @@ from .core import (
     Rso,
     _SwapState,
     _edges_by_class_pair,
-    extract_jdm,
+    _exchange,
 )
 from .balance import _balance
 
@@ -64,14 +64,7 @@ def _forced_wiring(adj, schedule) -> List[Tuple]:
             y = min((u for u in adj[x] if u in active and u != z and u not in adj[z]), default=None)
             if y is None:
                 raise GraphError("missing witness for a forced swap")
-            adj[w].remove(z)
-            adj[z].remove(w)
-            adj[x].remove(y)
-            adj[y].remove(x)
-            adj[w].add(x)
-            adj[x].add(w)
-            adj[y].add(z)
-            adj[z].add(y)
+            _exchange(adj, w, y, z, x)
             records.append((w, z, y, x))
         active.remove(w)
     return records
@@ -156,6 +149,13 @@ def _route_records(fwd_pack, bwd_pack) -> List[Tuple]:
     return fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
 
 
+def _route(canonize, src, dst, *sides) -> List[Tuple]:
+    """Records carrying edge set src onto dst via canonize(edges, *sides)."""
+    if src == dst:
+        return []
+    return _route_records(canonize(src, *sides), canonize(dst, *sides))
+
+
 def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int, int, int]]:
     """Ordinary 2-swaps carrying g1's edge set onto g2's.
 
@@ -169,12 +169,7 @@ def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int,
     for v in g1.vertices:
         if g1.degree(v) != g2.degree(v):
             raise GraphError(f"degree mismatch at vertex {v}")
-    if g1.edge_set() == g2.edge_set():
-        return []
-    return _route_records(
-        _canonize_simple(g1.edges(), g1.vertices),
-        _canonize_simple(g2.edges(), g2.vertices),
-    )
+    return _route(_canonize_simple, g1.edge_set(), g2.edge_set(), g1.vertices)
 
 
 def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
@@ -193,14 +188,8 @@ def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
     for r in b1.right:
         if right1[r] != right2[r]:
             raise GraphError(f"degree mismatch at right node {r!r}")
-    if b1.edges == b2.edges:
-        return []
-    lefts = sorted(set(b1.left))
-    rights = sorted(set(b1.right))
-    return _route_records(
-        _canonize_bipartite(b1.edges, lefts, rights),
-        _canonize_bipartite(b2.edges, lefts, rights),
-    )
+    sides = sorted(set(b1.left)), sorted(set(b1.right))
+    return _route(_canonize_bipartite, b1.edges, b2.edges, *sides)
 
 
 def _class_state(g: LabeledGraph, j: int) -> _SwapState:
@@ -331,11 +320,12 @@ class SwapSequence:
 
 
 def _problem_states(g: LabeledGraph, h: LabeledGraph) -> Tuple[_SwapState, _SwapState]:
-    if extract_jdm(g) != extract_jdm(h):
+    cur, tgt = _SwapState(g), _SwapState(h)
+    if cur.jdm != tgt.jdm:
         raise GraphError("matrices differ")
-    if g.classes() != h.classes():
+    if cur.classes != tgt.classes:
         raise GraphError("vertex partitions differ")
-    return _SwapState(g), _SwapState(h)
+    return cur, tgt
 
 
 def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
@@ -359,17 +349,13 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     part = cur.part
     tgt_pairs = _edges_by_class_pair(tgt.classes, tgt.edges())
     for (i, j), cur_sub in _edges_by_class_pair(cur.classes, cur.edges()).items():
-        tgt_sub = tgt_pairs[(i, j)]
-        if cur_sub == tgt_sub:
-            continue
         if i == j:
             canonize, sides = _canonize_simple, (part[i],)
         else:
             canonize, sides = _canonize_bipartite, (part[i], part[j])
-        records = _route_records(canonize(cur_sub, *sides), canonize(tgt_sub, *sides))
         # Both record kinds remove x1-y1, x2-y2 and add x1-y2, x2-y1, with
         # x1, x2 in class i.
-        for x1, y1, x2, y2 in records:
+        for x1, y1, x2, y2 in _route(canonize, cur_sub, tgt_pairs[(i, j)], *sides):
             rso = Rso(x1, x2, y1, y2, pivot_class=i)
             cur.swap(rso)
             swaps.append(rso)

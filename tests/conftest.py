@@ -1,8 +1,32 @@
-"""Shared fixtures: small hand-checked graphs used across the suite."""
+"""Shared fixtures: small hand-checked graphs used across the suite, and
+subprocess runners for checks that need a fresh interpreter."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jdmkit
 from jdmkit.core import LabeledGraph
+
+
+@pytest.fixture
+def python_run():
+    """Run this interpreter on args in a subprocess against this jdmkit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(args, **kwargs):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+    return run
+
+
+@pytest.fixture
+def optimized_stdout(python_run):
+    """Standard output of script run under python -O against this jdmkit."""
+    return lambda script: python_run(["-O", "-c", script], check=True).stdout
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """The package's public names: exactly these, each bound, none listed twice."""
 
+import ast
+import pathlib
+
 import jdmkit
 
 PUBLIC = [
@@ -33,3 +36,15 @@ def test_public_names_resolve_once():
     assert len(set(jdmkit.__all__)) == len(jdmkit.__all__)
     for name in jdmkit.__all__:
         assert hasattr(jdmkit, name), name
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so every check in the package is
+    # an explicit raise.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(jdmkit.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,6 +1,7 @@
 """Class averages, deviations, and the imbalance-lowering swap loop."""
 
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,38 @@ class TestBalanceStep:
     def test_step_refuses_balanced_class(self, pendant):
         with pytest.raises(GraphError, match="already balanced"):
             balance_step(pendant, 1)
+
+    @pytest.mark.parametrize(
+        "sabotage, message",
+        [
+            # A swap that moves nothing leaves the imbalance where it was.
+            ("core._SwapState.swap = lambda self, r: None", "swap must strictly lower the imbalance"),
+            # The top vertex never finds a neighbor to hand over.
+            (
+                "core._SwapState.movable = lambda self, v, i, u: None",
+                "no movable witness-class neighbor at the top vertex",
+            ),
+        ],
+    )
+    def test_invariants_survive_optimized_mode(self, pendant, sabotage, message, optimized_stdout):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from jdmkit import core
+            from jdmkit.balance import balance_step
+
+            assert sys.flags.optimize
+            {sabotage}
+            g = core.LabeledGraph.from_edges({list(pendant.edges())})
+            try:
+                out, r = balance_step(g, 3)
+            except core.GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", r)
+            """
+        )
+        assert optimized_stdout(script) == f"GraphError: {message}\n"
 
 
 class TestBalance:

@@ -358,6 +358,21 @@ class TestSample:
 
 
 class TestErrorHandling:
+    def test_memory_exhaustion_is_a_clean_exit(self, tmp_path, python_run):
+        # 10^8 class-2 vertices: labelling them alone outgrows the 400 MB
+        # address space the child process limits itself to.
+        pytest.importorskip("resource")
+        path = tmp_path / "m.txt"
+        path.write_text("2\n0 0\n0 100000000\n")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))\n"
+            "from jdmkit.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        out = python_run(["-c", script, "construct", str(path), "--out", str(tmp_path / "g.txt")])
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", "error: out of memory\n")
+
     def test_missing_file_is_an_io_error(self, capsys):
         assert run(["check", "/nonexistent/matrix.txt"]) == 2
         assert "error:" in capsys.readouterr().err

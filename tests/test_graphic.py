@@ -1,16 +1,12 @@
 """Realizability checks and descent-based construction."""
 
 import dataclasses
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
 
-import jdmkit
 from jdmkit import graphic
 from jdmkit.core import GraphError, Jdm, LabeledGraph, extract_jdm, vertex_counts
 from jdmkit.graphic import (
@@ -205,7 +201,7 @@ class TestDescentCost:
         assert calls == {"init": 1, "step": initial_psi // 2}
         assert extract_jdm(out) == j
 
-    def test_psi_check_survives_optimized_mode(self):
+    def test_psi_check_survives_optimized_mode(self, optimized_stdout):
         # A rewire that adds x-z but keeps y-z lowers psi by one, not two.
         # Under python -O the assert statements are gone, so only an
         # explicit check can refuse the step.
@@ -226,9 +222,5 @@ class TestDescentCost:
                 print("returned", g)
             """
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout
+        out = optimized_stdout(script)
         assert out == "GraphError: descent step must drop psi by exactly 2\n"

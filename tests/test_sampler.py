@@ -2,15 +2,12 @@
 
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-import jdmkit
 from jdmkit.core import GraphError, Jdm, LabeledGraph, extract_jdm
 from jdmkit.graphic import construct_realization
 from jdmkit.sampler import (
@@ -109,6 +106,39 @@ class TestConfigurationsAndMultigraphs:
         b = uniform_configuration(model, random.Random(9))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "sabotage, message",
+        [
+            # Class sizes of zero leave class 2's six mini-vertices unmatched.
+            ("sampler._class_sizes = lambda j: [0] * j.k", "class 2 must hold 0 mini-vertices and edge-points"),
+            # Each edge label keeps only its first point.
+            (
+                "ends = sampler._label_endpoints; "
+                "sampler._label_endpoints = lambda m, match: {k: vs[:1] for k, vs in ends(m, match).items()}",
+                "every edge label must receive exactly two points",
+            ),
+        ],
+    )
+    def test_invariants_survive_optimized_mode(self, sabotage, message, optimized_stdout):
+        script = textwrap.dedent(
+            f"""
+            import random, sys
+            from jdmkit import sampler
+            from jdmkit.core import GraphError, Jdm
+
+            assert sys.flags.optimize
+            {sabotage}
+            try:
+                model = sampler.build_model(Jdm([[0, 0], [0, 3]]))
+                mg = sampler.to_multigraph(sampler.uniform_configuration(model, random.Random(1)))
+            except GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", mg)
+            """
+        )
+        assert optimized_stdout(script) == f"GraphError: {message}\n"
+
 
 class TestEmbedRealization:
     def test_round_trip(self, six_cycle):
@@ -186,7 +216,7 @@ class TestScriptedSteps:
     def test_chain_b_rejects_non_simple_input(self):
         model = build_model(Jdm([[0, 0], [0, 3]]))
         loops = Configuration(model=model, match=(tuple(range(6)),))
-        with pytest.raises(GraphError, match="simple"):
+        with pytest.raises(GraphError, match="^chain b needs a simple starting configuration$"):
             chain_b_step(loops, random.Random(0))
 
     def test_chain_b_never_leaves_simple_states(self):
@@ -320,16 +350,12 @@ class TestAutocorrelation:
                 exact = sum(d[i] * d[i + k] for i in range(n - k)) / c0
                 assert abs(got - float(exact)) <= 1e-12
 
-    def test_runs_without_numpy(self):
+    def test_runs_without_numpy(self, python_run):
         script = (
             "import sys, jdmkit\n"
             "from jdmkit.sampler import autocorrelation\n"
             "autocorrelation([0.0, 1.0, 1.0, 0.0, 1.0], max_lag=2)\n"
             "print('numpy' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout
+        out = python_run(["-c", script], check=True).stdout
         assert out == "False\n"

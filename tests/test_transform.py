@@ -1,14 +1,10 @@
 """Swap paths: plain graphs, side graphs, and full class-preserving routes."""
 
-import os
 import random
-import subprocess
-import sys
 import textwrap
 
 import pytest
 
-import jdmkit
 from jdmkit.core import (
     GraphError,
     Jdm,
@@ -43,15 +39,6 @@ def replay_simple(edges, records):
         assert rm <= cur and not (ad & cur)
         cur = (cur - rm) | ad
     return cur
-
-
-def optimized_stdout(script):
-    """Standard output of script run under python -O against this jdmkit."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(jdmkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout
 
 
 def replay_bipartite(edges, records):
@@ -335,7 +322,7 @@ class TestRsoPath:
         with pytest.raises(GraphError, match="did not land on the recorded target"):
             short.replay(pendant)
 
-    def test_landing_check_survives_optimized_mode(self, six_cycle, two_triangles):
+    def test_landing_check_survives_optimized_mode(self, six_cycle, two_triangles, optimized_stdout):
         # With a record dropped from every class-pair route the path misses
         # its target.  Under python -O the assert statements are gone, so
         # only an explicit check can refuse the sequence.
@@ -375,7 +362,7 @@ class TestRsoPath:
             ("transform.bipartite_swap_path = lambda b1, b2: []", "alignment must pin every spectrum"),
         ],
     )
-    def test_invariants_survive_optimized_mode(self, pendant, sabotage, message):
+    def test_invariants_survive_optimized_mode(self, pendant, sabotage, message, optimized_stdout):
         script = textwrap.dedent(
             f"""
             import sys
