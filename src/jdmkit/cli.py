@@ -187,8 +187,9 @@ def _cmd_sample(args) -> int:
         raise GraphError("need steps >= 0, burnin >= 0, thin >= 1")
     rng = random.Random(args.seed) if args.seed is not None else random.Random()
     j = load_jdm(args.matrix)
-    start_graph = None
-    if args.start and args.chain != "direct":
+    if args.start and args.chain == "direct":
+        raise GraphError("--start only applies to chain a or b")
+    if args.start:
         # The model takes the start graph's own classes, whatever its labels.
         start_graph = load_graph(args.start)
         if extract_jdm(start_graph) != j:
@@ -204,8 +205,6 @@ def _cmd_sample(args) -> int:
         "seed": args.seed,
     }
     if args.chain == "direct":
-        if args.start:
-            raise GraphError("--start only applies to chain a or b")
         fibers: dict = {}
         simple = 0
         for _ in range(args.steps):
@@ -233,7 +232,8 @@ def _cmd_sample(args) -> int:
     else:
         start = _identity_configuration(model)
     runner = ChainRunner(model, start, args.chain, rng)
-    start_key = runner.fiber_key()
+    # pair_counts never holds a zero, so map equality is fiber-key equality.
+    start_counts = dict(runner.fiber_key())
     series = []
     simple_samples = 0
     retained = 0
@@ -243,7 +243,7 @@ def _cmd_sample(args) -> int:
             continue
         retained += 1
         simple_samples += runner.is_simple()
-        series.append(1.0 if runner.fiber_key() == start_key else 0.0)
+        series.append(1.0 if runner.pair_counts == start_counts else 0.0)
     payload.update(
         {
             "holds": runner.holds,

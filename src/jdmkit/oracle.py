@@ -165,8 +165,6 @@ def _swap_neighbors(g: LabeledGraph):
             nb = set(g.neighbors(b))
             for c in sorted(na - nb - {b}):
                 for d in sorted(nb - na - {a}):
-                    if c == d:
-                        continue
                     yield g.rewire(
                         remove=[(a, c), (b, d)], add=[(b, c), (a, d)]
                     )

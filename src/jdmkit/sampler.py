@@ -12,6 +12,8 @@ Over simple graphs all fibers have one constant size, which is what chain "b"
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -166,18 +168,21 @@ def to_multigraph(c: Configuration) -> MultiGraphRealization:
     """Pair up each edge label's two points; collect loops and multiplicities."""
     m = c.model
     counts: Dict[Tuple[int, int], int] = {}
-    simple = True
     for (_pair, _e), vs in _label_endpoints(m, c.match).items():
         if len(vs) != 2:
             raise GraphError("every edge label must receive exactly two points")
         u, v = sorted(vs)
         key = (u, v)
         counts[key] = counts.get(key, 0) + 1
-        if u == v or counts[key] > 1:
-            simple = False
     return MultiGraphRealization(
-        classes=dict(m.classes), pair_counts=counts, is_simple=simple
+        classes=dict(m.classes), pair_counts=counts, is_simple=not _excess(counts)
     )
+
+
+def _excess(counts: Dict[Tuple[int, int], int]) -> int:
+    """Edges beyond a simple graph: a loop counts its multiplicity, any other
+    pair its multiplicity - 1.  Zero exactly when the multigraph is simple."""
+    return sum(mult if u == v else mult - 1 for (u, v), mult in counts.items())
 
 
 class ChainRunner:
@@ -211,12 +216,8 @@ class ChainRunner:
             for mi, pi in enumerate(p):
                 self.inv[ci][pi] = mi
         self._sizes = model.component_sizes()
-        self._total = sum(self._sizes)
-        self._cum = []
-        acc = 0
-        for s in self._sizes:
-            self._cum.append(acc)
-            acc += s
+        # _starts[ci]: index of component ci's first pair among all pairs.
+        self._starts = [0, *itertools.accumulate(self._sizes)]
         where: Dict[Tuple, Tuple[int, int]] = {}
         for ci, c in enumerate(model.component_classes):
             for idx, point in enumerate(model.points[c]):
@@ -226,27 +227,23 @@ class ChainRunner:
             [where[(pair, e, 1 - side)] for pair, e, side in model.points[c]]
             for c in model.component_classes
         ]
-        mg = to_multigraph(start)
-        if kind == "b" and not mg.is_simple:
+        self.pair_counts: Dict[Tuple[int, int], int] = to_multigraph(start).pair_counts
+        self.nonsimple = _excess(self.pair_counts)
+        if kind == "b" and self.nonsimple:
             raise GraphError("chain b needs a simple starting configuration")
-        self.pair_counts: Dict[Tuple[int, int], int] = dict(mg.pair_counts)
-        self.nonsimple = sum(
-            mult - 1 for mult in self.pair_counts.values()
-        ) + sum(1 for (u, v) in self.pair_counts if u == v)
         self.steps = 0
         self.holds = 0
         self.rejects = 0
 
     def step(self) -> None:
         self.steps += 1
-        if self.rng.randrange(2) == 0 or not self._total:
+        total = self._starts[-1]
+        if self.rng.randrange(2) == 0 or not total:
             self.holds += 1
             return
-        g = self.rng.randrange(self._total)
-        ci = 0
-        while ci + 1 < len(self._sizes) and g >= self._cum[ci + 1]:
-            ci += 1
-        mi1 = g - self._cum[ci]
+        g = self.rng.randrange(total)
+        ci = bisect.bisect_right(self._starts, g) - 1
+        mi1 = g - self._starts[ci]
         size = self._sizes[ci]
         if size == 1:
             self.holds += 1

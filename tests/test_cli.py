@@ -1,6 +1,7 @@
 """Command flows: exit codes, JSON determinism, and file side effects."""
 
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,13 @@ from jdmkit.fileio import (
     load_trace,
     save_graph,
     save_jdm,
+)
+from jdmkit.sampler import (
+    ChainRunner,
+    Configuration,
+    autocorrelation,
+    build_model,
+    to_multigraph,
 )
 
 
@@ -324,6 +332,72 @@ class TestSample:
         assert payload["saved_last"] == last
         g = load_graph(last)
         assert extract_jdm(g) == Jdm([[0, 0], [0, 6]])
+
+    def test_save_last_refuses_a_non_simple_state(self, jdm_file, tmp_path, capsys):
+        # Chain a starts from the identity configuration: three loops here.
+        last = tmp_path / "last.txt"
+        code = run(
+            [
+                "sample", jdm_file([[0, 0], [0, 3]]),
+                "--chain", "a", "--steps", "0", "--seed", "1",
+                "--save-last", str(last),
+            ]
+        )
+        assert code == 1
+        assert "final state is not simple; nothing to save" in capsys.readouterr().err
+        assert not last.exists()
+
+    @pytest.mark.parametrize("chain", ["a", "b"])
+    def test_one_fiber_key_per_request(self, chain, jdm_file, monkeypatch, capsys):
+        calls = []
+        fiber_key = ChainRunner.fiber_key
+
+        def counted(runner):
+            calls.append(runner)
+            return fiber_key(runner)
+
+        monkeypatch.setattr(ChainRunner, "fiber_key", counted)
+        code, payload = run_json(
+            [
+                "sample", jdm_file([[0, 2], [2, 2]]),
+                "--chain", chain, "--steps", "50", "--seed", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert payload["retained_samples"] == 50
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_series_marks_returns_to_the_start_multigraph(self, seed, jdm_file, capsys):
+        # Replay the command's chain from the identity configuration and
+        # compare full multigraphs after every step.
+        j = Jdm([[0, 0], [0, 3]])
+        model = build_model(j)
+        identity = Configuration(
+            model=model, match=tuple(tuple(range(n)) for n in model.component_sizes())
+        )
+        start = to_multigraph(identity).fiber_key()
+        runner = ChainRunner(model, identity, "a", random.Random(seed))
+        series = []
+        for _ in range(200):
+            runner.step()
+            series.append(1.0 if to_multigraph(runner.configuration()).fiber_key() == start else 0.0)
+        assert 0 < sum(series) < 200
+        expected = autocorrelation(series, max_lag=100)
+        code, payload = run_json(
+            [
+                "sample", jdm_file(j.rows),
+                "--chain", "a", "--steps", "200", "--seed", str(seed),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert payload["autocorrelation"] == {
+            "max_lag": 100,
+            "integrated_time": expected.integrated_time,
+            "rho": list(expected.rho),
+        }
 
 
     @pytest.mark.parametrize("chain", ["a", "b"])

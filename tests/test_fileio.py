@@ -32,6 +32,8 @@ class TestGraphFormat:
     def test_round_trip(self, six_cycle, two_triangles, pendant):
         for g in (six_cycle, two_triangles, pendant):
             assert loads_graph(dumps_graph(g)) == g
+            # Blank lines between edge lines are skipped.
+            assert loads_graph(dumps_graph(g).replace("\n", "\n\n")) == g
 
     def test_file_round_trip(self, pendant, tmp_path):
         path = str(tmp_path / "g.txt")
@@ -95,6 +97,8 @@ class TestJdmFormat:
     def test_header_and_row_diagnostics(self):
         with pytest.raises(FileFormatError, match="missing matrix size"):
             loads_jdm("")
+        with pytest.raises(FileFormatError, match="matrix size must be non-negative"):
+            loads_jdm("-1\n")
         with pytest.raises(FileFormatError, match="expected 2 matrix rows"):
             loads_jdm("2\n0 1\n")
         with pytest.raises(FileFormatError, match="expected 2 integers"):

@@ -8,6 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from jdmkit.balance import balance, imbalance  # noqa: E402
 from jdmkit.core import Jdm, LabeledGraph, SwapError, Rso, apply_rso, extract_jdm, vertex_counts  # noqa: E402
 from jdmkit.fileio import FileFormatError, loads_graph, loads_jdm, loads_trace  # noqa: E402
 from jdmkit.graphic import check_graphical, construct_realization  # noqa: E402
@@ -95,6 +96,20 @@ def test_rso_path_replays_exactly(g, rnd, steps):
     assert extract_jdm(h) == extract_jdm(g)
     seq = rso_path(g, h)
     assert seq.replay(g) == h
+
+
+@fixed
+@given(graphs(max_n=9))
+def test_balance_stays_within_budget(g):
+    out, swaps = balance(g)
+    assert len(swaps) <= sum(imbalance(g, j) for j in g.partition())
+    assert all(imbalance(out, j) == 0 for j in out.partition())
+    assert extract_jdm(out) == extract_jdm(g)
+    assert out.classes() == g.classes()
+    replayed = g
+    for r in swaps:
+        replayed = apply_rso(replayed, r)
+    assert replayed == out
 
 
 def int_lines(width=None, count=None):

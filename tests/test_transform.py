@@ -117,6 +117,10 @@ class TestBipartiteSwapPath:
         b3 = Bipartite(left=(0, 1), right=(5,), edges=frozenset([(1, 5)]))
         with pytest.raises(GraphError, match="degree mismatch at left"):
             bipartite_swap_path(b1, b3)
+        b4 = Bipartite(left=(0, 1), right=(5, 6), edges=frozenset([(0, 5)]))
+        b5 = Bipartite(left=(0, 1), right=(5, 6), edges=frozenset([(0, 6)]))
+        with pytest.raises(GraphError, match="degree mismatch at right node 5"):
+            bipartite_swap_path(b4, b5)
 
     def test_five_by_four_regression_pair(self):
         f1c = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 0),
