@@ -183,8 +183,8 @@ def _identity_configuration(model) -> Configuration:
 def _cmd_sample(args) -> int:
     if args.seed is None and not args.entropy:
         raise GraphError("randomized command: pass --seed N or opt in with --entropy")
-    if args.steps < 0 or args.burnin < 0 or args.thin < 1:
-        raise GraphError("need steps >= 0, burnin >= 0, thin >= 1")
+    if args.steps < 0 or args.burnin < 0 or args.thin < 1 or args.max_lag < 0:
+        raise GraphError("need steps >= 0, burnin >= 0, thin >= 1, max-lag >= 0")
     rng = random.Random(args.seed) if args.seed is not None else random.Random()
     j = load_jdm(args.matrix)
     if args.start and args.chain == "direct":
@@ -236,14 +236,13 @@ def _cmd_sample(args) -> int:
     start_counts = dict(runner.fiber_key())
     series = []
     simple_samples = 0
-    retained = 0
-    for step in range(args.steps):
-        runner.step()
-        if step < args.burnin or (step - args.burnin) % args.thin:
-            continue
-        retained += 1
+    # Samples are retained after steps burnin + 1, burnin + 1 + thin, ...
+    for taken in range(args.burnin + 1, args.steps + 1, args.thin):
+        runner.advance(taken - runner.steps)
         simple_samples += runner.is_simple()
         series.append(1.0 if runner.pair_counts == start_counts else 0.0)
+    runner.advance(args.steps - runner.steps)
+    retained = len(series)
     payload.update(
         {
             "holds": runner.holds,

@@ -12,7 +12,7 @@ Over simple graphs all fibers have one constant size, which is what chain "b"
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 import itertools
 import math
 import operator
@@ -198,6 +198,11 @@ class ChainRunner:
     Randomness contract per step: one randrange(2) draw; if it says move, one
     randrange(#pairs) draw, and one randrange(component size - 1) draw when
     that component has more than one pair.
+
+    advance(k) runs k steps in one loop and step() is advance(1).  A batch
+    makes the same draws in the same order as k single steps, and leaves
+    perms, inv, pair_counts, nonsimple, steps, holds and rejects exactly as
+    they would be after them.
     """
 
     def __init__(self, model: ConfigModel, start: Configuration, kind: str, rng):
@@ -215,18 +220,23 @@ class ChainRunner:
         for ci, p in enumerate(self.perms):
             for mi, pi in enumerate(p):
                 self.inv[ci][pi] = mi
-        self._sizes = model.component_sizes()
-        # _starts[ci]: index of component ci's first pair among all pairs.
-        self._starts = [0, *itertools.accumulate(self._sizes)]
+        sizes = model.component_sizes()
+        # starts[ci]: index of component ci's first pair among all pairs.
+        starts = [0, *itertools.accumulate(sizes)]
         where: Dict[Tuple, Tuple[int, int]] = {}
         for ci, c in enumerate(model.component_classes):
             for idx, point in enumerate(model.points[c]):
                 where[point] = (ci, idx)
-        # mate[ci][p]: the other point of point p's edge label, as (cj, q).
-        self._mate = [
+        # mates[ci][p]: the other point of point p's edge label, as (cj, q).
+        mates = [
             [where[(pair, e, 1 - side)] for pair, e, side in model.points[c]]
             for c in model.component_classes
         ]
+        # verts[ci][mi]: the vertex that owns mini-vertex mi of component ci.
+        verts = [[v for v, _slot in model.minis[c]] for c in model.component_classes]
+        # The fixed tables advance() reads, in one attribute so that binding
+        # them costs a single load per call.
+        self._tables = (kind == "b", starts, starts[-1], sizes, mates, verts)
         self.pair_counts: Dict[Tuple[int, int], int] = to_multigraph(start).pair_counts
         self.nonsimple = _excess(self.pair_counts)
         if kind == "b" and self.nonsimple:
@@ -236,65 +246,80 @@ class ChainRunner:
         self.rejects = 0
 
     def step(self) -> None:
-        self.steps += 1
-        total = self._starts[-1]
-        if self.rng.randrange(2) == 0 or not total:
-            self.holds += 1
-            return
-        g = self.rng.randrange(total)
-        ci = bisect.bisect_right(self._starts, g) - 1
-        mi1 = g - self._starts[ci]
-        size = self._sizes[ci]
-        if size == 1:
-            self.holds += 1
-            return
-        k2 = self.rng.randrange(size - 1)
-        mi2 = k2 + 1 if k2 >= mi1 else k2
-        self._exchange(ci, mi1, mi2)
+        self.advance(1)
 
-    def _exchange(self, ci: int, mi1: int, mi2: int) -> None:
-        perm, inv = self.perms[ci], self.inv[ci]
-        p1, p2 = perm[mi1], perm[mi2]
-        # When p1 and p2 carry one edge label, the label keeps the same two
-        # clouds and the multigraph cannot change.  Otherwise each label moves
-        # to the other mini-vertex while its mate point stays put.
-        if self._mate[ci][p1] != (ci, p2):
-            minis, classes = self.model.minis, self.model.component_classes
-            u1, u2 = minis[classes[ci]][mi1][0], minis[classes[ci]][mi2][0]
-            (c1, q1), (c2, q2) = self._mate[ci][p1], self._mate[ci][p2]
-            w1 = minis[classes[c1]][self.inv[c1][q1]][0]
-            w2 = minis[classes[c2]][self.inv[c2][q2]][0]
-            old1, old2, new1, new2 = (
-                (a, b) if a <= b else (b, a)
-                for a, b in ((u1, w1), (u2, w2), (u2, w1), (u1, w2))
-            )
-            if self.kind == "b" and not self._stays_simple(old1, old2, new1, new2):
-                self.rejects += 1
-                return
-            for old in (old1, old2):
-                left = self.pair_counts[old] - 1
-                if old[0] == old[1] or left >= 1:
-                    self.nonsimple -= 1
-                if left:
-                    self.pair_counts[old] = left
-                else:
-                    del self.pair_counts[old]
-            for new in (new1, new2):
-                had = self.pair_counts.get(new, 0)
-                if new[0] == new[1] or had >= 1:
-                    self.nonsimple += 1
-                self.pair_counts[new] = had + 1
-        perm[mi1], perm[mi2] = p2, p1
-        inv[p1], inv[p2] = mi2, mi1
-
-    def _stays_simple(self, old1, old2, new1, new2) -> bool:
-        if new1[0] == new1[1] or new2[0] == new2[1] or new1 == new2:
-            return False
-        removed = {old1, old2}
-        for new in (new1, new2):
-            if new in self.pair_counts and new not in removed:
-                return False
-        return True
+    def advance(self, k: int) -> None:
+        """Run k steps of the chain in one loop."""
+        if k < 0:
+            raise GraphError(f"cannot advance by {k} steps")
+        reject_nonsimple, starts, total, sizes, mates, verts = self._tables
+        randrange = self.rng.randrange
+        perms, invs, counts = self.perms, self.inv, self.pair_counts
+        nonsimple = self.nonsimple
+        done = holds = rejects = 0
+        # The counters are written back even if a draw raises, so that they
+        # always describe the steps taken.
+        try:
+            while done < k:
+                done += 1
+                if randrange(2) == 0 or not total:
+                    holds += 1
+                    continue
+                g = randrange(total)
+                ci = bisect_right(starts, g) - 1
+                mi1 = g - starts[ci]
+                size = sizes[ci]
+                if size == 1:
+                    holds += 1
+                    continue
+                mi2 = randrange(size - 1)
+                if mi2 >= mi1:
+                    mi2 += 1
+                perm, inv, mate = perms[ci], invs[ci], mates[ci]
+                p1, p2 = perm[mi1], perm[mi2]
+                # When p1 and p2 carry one edge label, the label keeps the same
+                # two clouds and the multigraph cannot change.  Otherwise each
+                # label moves to the other mini-vertex while its mate point
+                # stays put.
+                c1, q1 = mate[p1]
+                if c1 != ci or q1 != p2:
+                    c2, q2 = mate[p2]
+                    u1, u2 = verts[ci][mi1], verts[ci][mi2]
+                    w1, w2 = verts[c1][invs[c1][q1]], verts[c2][invs[c2][q2]]
+                    old1 = (u1, w1) if u1 <= w1 else (w1, u1)
+                    old2 = (u2, w2) if u2 <= w2 else (w2, u2)
+                    new1 = (u2, w1) if u2 <= w1 else (w1, u2)
+                    new2 = (u1, w2) if u1 <= w2 else (w2, u1)
+                    if reject_nonsimple and (
+                        u2 == w1
+                        or u1 == w2
+                        or new1 == new2
+                        or (new1 in counts and new1 != old1 and new1 != old2)
+                        or (new2 in counts and new2 != old1 and new2 != old2)
+                    ):
+                        rejects += 1
+                        continue
+                    for old in (old1, old2):
+                        left = counts[old] - 1
+                        if left:
+                            counts[old] = left
+                            nonsimple -= 1
+                        else:
+                            del counts[old]
+                            if old[0] == old[1]:
+                                nonsimple -= 1
+                    for new in (new1, new2):
+                        had = counts.get(new, 0)
+                        if had or new[0] == new[1]:
+                            nonsimple += 1
+                        counts[new] = had + 1
+                perm[mi1], perm[mi2] = p2, p1
+                inv[p1], inv[p2] = mi2, mi1
+        finally:
+            self.steps += done
+            self.holds += holds
+            self.rejects += rejects
+            self.nonsimple = nonsimple
 
     def is_simple(self) -> bool:
         return self.nonsimple == 0

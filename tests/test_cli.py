@@ -248,6 +248,18 @@ class TestSample:
         assert code == 1
         assert "steps >= 0" in capsys.readouterr().err
 
+    def test_negative_max_lag_is_refused(self, jdm_file, capsys):
+        argv = ["sample", jdm_file([[0, 0], [0, 3]]), "--chain", "a", "--steps", "20", "--seed", "1"]
+        assert run(argv + ["--max-lag", "-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max-lag >= 0" in captured.err
+        # --max-lag 0 asks for no autocorrelation estimate.
+        code, payload = run_json(argv + ["--max-lag", "0"], capsys)
+        assert code == 0
+        assert payload["retained_samples"] == 20
+        assert "autocorrelation" not in payload
+
     def test_direct_draws_are_reproducible(self, jdm_file, capsys):
         argv = [
             "sample", jdm_file([[0, 0], [0, 3]]),
@@ -367,6 +379,34 @@ class TestSample:
         assert code == 0
         assert payload["retained_samples"] == 50
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("chain", ["a", "b"])
+    @pytest.mark.parametrize("steps, burnin, thin", [(50, 0, 1), (101, 3, 7), (20, 20, 1), (0, 0, 1)])
+    def test_one_advance_per_retained_sample(self, chain, steps, burnin, thin, jdm_file, monkeypatch, capsys):
+        calls = {"step": 0, "advance": []}
+        advance = ChainRunner.advance
+
+        def counted_step(runner):
+            calls["step"] += 1
+
+        def counted_advance(runner, k):
+            calls["advance"].append(k)
+            return advance(runner, k)
+
+        monkeypatch.setattr(ChainRunner, "step", counted_step)
+        monkeypatch.setattr(ChainRunner, "advance", counted_advance)
+        code, payload = run_json(
+            [
+                "sample", jdm_file([[0, 2], [2, 2]]),
+                "--chain", chain, "--steps", str(steps), "--burnin", str(burnin),
+                "--thin", str(thin), "--seed", "1",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert calls["step"] == 0
+        assert len(calls["advance"]) <= payload["retained_samples"] + 1
+        assert sum(calls["advance"]) == steps
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_series_marks_returns_to_the_start_multigraph(self, seed, jdm_file, capsys):

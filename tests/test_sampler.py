@@ -312,6 +312,123 @@ class TestChainRunner:
         assert (nonsimple_seen > 0) if kind == "a" else (runner.rejects > 0)
 
 
+def _reference_step(model, perms, kind, rng):
+    """One chain step from the class docstring alone, on plain permutation
+    lists; chain b asks to_multigraph whether the proposal stays simple."""
+    sizes = model.component_sizes()
+    if rng.randrange(2) == 0 or not sizes:
+        return "hold"
+    mi1 = rng.randrange(sum(sizes))
+    ci = 0
+    while mi1 >= sizes[ci]:
+        mi1 -= sizes[ci]
+        ci += 1
+    if sizes[ci] == 1:
+        return "hold"
+    mi2 = rng.randrange(sizes[ci] - 1)
+    mi2 += mi2 >= mi1
+    proposal = [list(p) for p in perms]
+    proposal[ci][mi1], proposal[ci][mi2] = proposal[ci][mi2], proposal[ci][mi1]
+    match = tuple(tuple(p) for p in proposal)
+    if kind == "b" and not to_multigraph(Configuration(model=model, match=match)).is_simple:
+        return "reject"
+    perms[:] = proposal
+    return "move"
+
+
+def _runner_state(runner):
+    return (
+        [list(p) for p in runner.perms],
+        [list(i) for i in runner.inv],
+        dict(runner.pair_counts),
+        runner.nonsimple,
+        runner.steps,
+        runner.holds,
+        runner.rejects,
+        runner.rng.getstate(),
+    )
+
+
+# Class 2's diagonal pair and the cross pair (1, 2) give loops, parallel edges
+# and chain-b rejections; a triangle with a pendant vertex has a class-1
+# component of one pair; the edgeless matrix has no pair at all.
+ADVANCE_CASES = [
+    ([[0, 2], [2, 2]], "a"),
+    ([[0, 2], [2, 2]], "b"),
+    ([[0, 0, 1], [0, 1, 2], [1, 2, 0]], "a"),
+    ([[0, 0, 1], [0, 1, 2], [1, 2, 0]], "b"),
+    ([[0]], "a"),
+    ([[0]], "b"),
+]
+
+
+class TestAdvance:
+    @staticmethod
+    def _start(j, kind):
+        model = build_model(j)
+        if kind == "a":
+            return model, uniform_configuration(model, random.Random(4))
+        return model, embed_realization(construct_realization(j), model)
+
+    @pytest.mark.parametrize("rows, kind", ADVANCE_CASES)
+    def test_batches_match_single_steps_and_the_reference(self, rows, kind):
+        model, start = self._start(Jdm(rows), kind)
+        batched = ChainRunner(model, start, kind, random.Random(21))
+        single = ChainRunner(model, start, kind, random.Random(21))
+        ref_perms = [list(p) for p in start.match]
+        ref_rng = random.Random(21)
+        ref_counts = {"hold": 0, "reject": 0, "move": 0}
+        sizes = random.Random(5)
+        nonsimple_seen = False
+        for _ in range(60):
+            k = sizes.choice((0, 1, 1, 2, 3, 7, 16, 40))
+            batched.advance(k)
+            for _ in range(k):
+                single.step()
+                ref_counts[_reference_step(model, ref_perms, kind, ref_rng)] += 1
+            assert _runner_state(batched) == _runner_state(single)
+            fresh = to_multigraph(Configuration(model=model, match=tuple(map(tuple, ref_perms))))
+            assert batched.perms == ref_perms
+            assert all(inv[p[mi]] == mi for p, inv in zip(batched.perms, batched.inv) for mi in range(len(p)))
+            assert batched.pair_counts == fresh.pair_counts
+            assert batched.nonsimple == sum(
+                mult if u == v else mult - 1 for (u, v), mult in fresh.pair_counts.items()
+            )
+            assert (batched.holds, batched.rejects) == (ref_counts["hold"], ref_counts["reject"])
+            assert batched.steps == sum(ref_counts.values())
+            assert batched.rng.getstate() == ref_rng.getstate()
+            nonsimple_seen |= batched.nonsimple > 0
+        if rows != [[0]]:
+            assert ref_counts["move"] > 0
+        if rows == [[0, 2], [2, 2]]:
+            assert (ref_counts["reject"] > 0) if kind == "b" else nonsimple_seen
+
+    @pytest.mark.parametrize("rows, kind", ADVANCE_CASES)
+    def test_zero_and_negative_counts_change_nothing(self, rows, kind):
+        model, start = self._start(Jdm(rows), kind)
+        runner = ChainRunner(model, start, kind, random.Random(8))
+        runner.advance(25)
+        before = _runner_state(runner)
+        runner.advance(0)
+        assert _runner_state(runner) == before
+        with pytest.raises(GraphError, match="^cannot advance by -1 steps$"):
+            runner.advance(-1)
+        assert _runner_state(runner) == before
+
+    def test_counters_describe_the_steps_taken_when_a_draw_raises(self):
+        model = build_model(Jdm([[0, 0], [0, 3]]))
+        start = Configuration(model=model, match=(tuple(range(6)),))
+        # A hold, then a move of mini-vertices 0 and 3; the third step's first
+        # draw finds the queue empty.
+        runner = ChainRunner(model, start, "a", ScriptedRng([(2, 0), (2, 1), (6, 0), (5, 2)]))
+        with pytest.raises(IndexError):
+            runner.advance(5)
+        assert (runner.steps, runner.holds, runner.rejects) == (3, 1, 0)
+        assert runner.perms == [[3, 1, 2, 0, 4, 5]]
+        assert runner.pair_counts == {(0, 1): 2, (2, 2): 1}
+        assert runner.nonsimple == 2
+
+
 class TestAutocorrelation:
     def test_constant_series(self):
         out = autocorrelation([3.0] * 50, max_lag=5)

@@ -22,7 +22,11 @@ Sections, each printed as ``name items sha256-prefix``:
 - ``large-construct``: ``construct_realization`` output for the matrices of
   fixed-seed G(n, 8/n) graphs at n = 200 and 400 (the benchmark's construct
   workload runs at n = 400), where each construction takes hundreds of
-  descent steps.
+  descent steps;
+- ``sample-grid``: stdout of ``jdm sample`` for both chains over steps, burnin
+  and thin at the edges of the retention schedule (no steps, burnin at, past
+  and one short of the steps, thin past the steps, steps not a multiple of
+  thin, burnin with thin > 1) on two small matrices, with seeds of its own.
 
 Takes about a minute on one core, most of it enumerating the small matrices.
 """
@@ -123,6 +127,28 @@ def as_graph(adj) -> LabeledGraph:
     return LabeledGraph.from_edges((u, v) for u in adj for v in adj[u] if u < v)
 
 
+def run_in_scratch(section: Section, files, commands) -> None:
+    """Write files into a scratch directory, run each command there in-process
+    and digest its stdout, then every file the directory holds."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in files:
+                with open(name, "w", encoding="ascii") as fh:
+                    fh.write(text)
+            for argv in commands:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = run(argv)
+                section.add(f"{argv} -> {code}\n{out.getvalue()}")
+            for name in sorted(os.listdir(".")):
+                with open(name, encoding="ascii") as fh:
+                    section.add(f"{name}\n{fh.read()}")
+        finally:
+            os.chdir(home)
+
+
 def cli_outputs(section: Section, g: LabeledGraph, h: LabeledGraph) -> None:
     """Run each command in a scratch directory; digest stdout and every file."""
     commands = [
@@ -136,24 +162,34 @@ def cli_outputs(section: Section, g: LabeledGraph, h: LabeledGraph) -> None:
         ["sample", "m.txt", "--chain", "b", "--steps", "3000", "--seed", "12",
          "--start", "h.txt", "--max-lag", "20", "--save-last", "s.txt"],
     ]
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            for name, text in (("m.txt", dumps_jdm(extract_jdm(g))),
-                               ("g.txt", dumps_graph(g)), ("h.txt", dumps_graph(h))):
-                with open(name, "w", encoding="ascii") as fh:
-                    fh.write(text)
-            for argv in commands:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = run(argv)
-                section.add(f"{argv} -> {code}\n{out.getvalue()}")
-            for name in sorted(os.listdir(".")):
-                with open(name, encoding="ascii") as fh:
-                    section.add(f"{name}\n{fh.read()}")
-        finally:
-            os.chdir(home)
+    files = (("m.txt", dumps_jdm(extract_jdm(g))), ("g.txt", dumps_graph(g)),
+             ("h.txt", dumps_graph(h)))
+    run_in_scratch(section, files, commands)
+
+
+# (steps, burnin, thin, max-lag) at the edges of the retention schedule: no
+# steps, burnin at or past the steps, burnin one short of them, thin past the
+# steps, steps not a multiple of thin, burnin together with thin > 1.
+SAMPLE_GRID = (
+    (0, 0, 1, 100), (1, 0, 1, 100), (7, 0, 1, 0), (50, 50, 1, 100), (50, 80, 3, 5),
+    (50, 49, 1, 5), (50, 49, 7, 5), (7, 0, 1000, 5), (101, 0, 7, 5), (999, 3, 7, 20),
+    (2000, 49, 2, 100), (2000, 0, 1000, 5),
+)
+
+
+def sample_grid(section: Section) -> None:
+    """The matrix and the stdout of both ``jdm sample`` chains over SAMPLE_GRID on two matrices:
+    one with loops, parallel edges and chain-b rejections, one of a G(20, 8/20)
+    graph with its own seed."""
+    g = as_graph(ladder_graph(20, random.Random(9)))
+    for j in (Jdm([[0, 2], [2, 2]]), extract_jdm(g)):
+        commands = [
+            ["sample", "m.txt", "--chain", chain, "--steps", str(steps), "--burnin", str(burnin),
+             "--thin", str(thin), "--max-lag", str(max_lag), "--seed", str(seed)]
+            for chain in ("a", "b")
+            for seed, (steps, burnin, thin, max_lag) in enumerate(SAMPLE_GRID, start=900)
+        ]
+        run_in_scratch(section, [("m.txt", dumps_jdm(j))], commands)
 
 
 def main() -> int:
@@ -188,8 +224,10 @@ def main() -> int:
     for n in (200, 400):
         g = as_graph(ladder_graph(n, large_rng))
         large_construct.add(dumps_graph(construct_realization(extract_jdm(g))))
+    grid = Section("sample-grid")
+    sample_grid(grid)
     sections = (pool_paths, pool_balance, ladder_paths, ladder_balance, ladder_construct, cli,
-                large_construct)
+                large_construct, grid)
     total = hashlib.sha256()
     for s in sections:
         print(s.line())
