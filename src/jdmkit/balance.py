@@ -67,8 +67,17 @@ def deviation(g: LabeledGraph, v: int, i: int) -> int:
 
 
 def imbalance(g: LabeledGraph, j: int) -> int:
-    """Total deviation over class j's vertices and all spectrum components."""
-    return _SwapState(g).imbalance(j)
+    """Total deviation over class j's vertices and all spectrum components.
+
+    The tallies are computed once per graph: the first call reads every
+    class's imbalance off one swap state and keeps the map on the graph,
+    which is immutable; later calls read it.  A graph that is not a
+    realization raises on every call and keeps nothing.
+    """
+    imb = getattr(g, "_imb", None)
+    if imb is None:
+        imb = g._imb = _SwapState(g).imb
+    return imb.get(j, 0)
 
 
 def _balance_step(state: _SwapState, j: int) -> Rso:

@@ -9,6 +9,7 @@ newline, and a schema_version field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -25,7 +26,7 @@ from .fileio import (
     save_jdm,
     save_trace,
 )
-from .graphic import check_graphical, construct_realization, initial_candidate
+from .graphic import _descend, check_graphical, construct_realization, initial_candidate
 from .oracle import enumerate_configurations, enumerate_realizations
 from .sampler import (
     ChainRunner,
@@ -73,9 +74,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    j = load_jdm(args.matrix)
-    initial_psi = initial_candidate(j).psi
-    g = construct_realization(j)
+    state = initial_candidate(load_jdm(args.matrix))
+    initial_psi = state.psi
+    g = _descend(state)
     save_graph(g, args.out)
     payload = {
         "vertices": g.n,
@@ -189,6 +190,8 @@ def _cmd_sample(args) -> int:
     j = load_jdm(args.matrix)
     if args.start and args.chain == "direct":
         raise GraphError("--start only applies to chain a or b")
+    if (args.burnin, args.thin) != (0, 1) and args.chain == "direct":
+        raise GraphError("--burnin and --thin only apply to chain a or b")
     if args.start:
         # The model takes the start graph's own classes, whatever its labels.
         start_graph = load_graph(args.start)
@@ -269,7 +272,10 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # argparse looks sys.stderr up when it prints.
     parser = argparse.ArgumentParser(
         prog="jdm",
         description="Joint degree matrix toolkit: test, build, and sample realizations.",

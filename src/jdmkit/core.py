@@ -110,7 +110,8 @@ class LabeledGraph:
     representable.  ``is_realization`` reports whether they agree everywhere.
     """
 
-    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta", "_hash")
+    # _imb (class -> imbalance) is left unset until balance.imbalance fills it.
+    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta", "_hash", "_imb")
 
     def __init__(self, edges: Iterable[Tuple[int, int]], classes: Mapping[int, int]):
         cls: Dict[int, int] = {}

@@ -234,7 +234,11 @@ def construct_realization(
     j: Jdm, labels: Optional[Sequence[int]] = None
 ) -> LabeledGraph:
     """Build a realization of j, or raise NotGraphicalError with the report."""
-    state = initial_candidate(j, labels)
+    return _descend(initial_candidate(j, labels))
+
+
+def _descend(state: CandidateState) -> LabeledGraph:
+    """Run psi descent from state down to a realization."""
     while state.psi > 0:
         state = psi_descent_step(state)
     if not state.graph.is_realization():

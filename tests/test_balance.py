@@ -1,7 +1,9 @@
 """Class averages, deviations, and the imbalance-lowering swap loop."""
 
+import itertools
 import random
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,17 @@ from jdmkit.balance import (
     deviation,
     imbalance,
 )
+from jdmkit.cli import run
 from jdmkit.core import (
     GraphError,
     LabeledGraph,
     NotRealizationError,
+    _SwapState,
     apply_rso,
     extract_jdm,
 )
+from jdmkit.fileio import save_graph
+from jdmkit.oracle import enumerate_realizations
 
 
 class TestClassAverages:
@@ -156,3 +162,82 @@ class TestBalance:
                     if j != r.pivot_class:
                         assert imbalance(cur, j) == prev[j]
             assert cur == out
+
+
+def pool_graphs(rng, count):
+    """Realization pools of count random matrices on at most 6 vertices."""
+    graphs = []
+    for _ in range(count):
+        edges = [e for e in itertools.combinations(range(6), 2) if rng.random() < 0.5]
+        if edges:
+            graphs += enumerate_realizations(extract_jdm(LabeledGraph.from_edges(edges)), max_vertices=6)
+    return graphs
+
+
+def ladder_graph(n, rng):
+    """G(n, 8/n) with isolated vertices dropped, each vertex classed by degree."""
+    return LabeledGraph.from_edges(
+        e for e in itertools.combinations(range(n), 2) if rng.random() < 8 / n
+    )
+
+
+def recounted(g):
+    """Per-class imbalance summed from deviation, for classes 0..delta+1."""
+    part = g.partition()
+    return {
+        j: sum(deviation(g, v, i) for v in part.get(j, ()) for i in range(1, g.delta + 1))
+        for j in range(g.delta + 2)
+    }
+
+
+class TestImbalanceCache:
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            lambda: pool_graphs(random.Random(41), 12),
+            lambda: [ladder_graph(n, random.Random(n)) for n in (20, 32)],
+        ],
+        ids=["pool", "ladder"],
+    )
+    def test_every_class_matches_the_deviation_sum(self, graphs):
+        for g in graphs():
+            expected = recounted(g)
+            for _ in range(2):
+                assert {j: imbalance(g, j) for j in expected} == expected
+
+    def test_non_realization_raises_on_every_call(self):
+        broken = LabeledGraph(edges=[(0, 1)], classes={0: 1, 1: 2})
+        for _ in range(2):
+            with pytest.raises(NotRealizationError):
+                imbalance(broken, 1)
+
+    def test_derived_graphs_get_their_own_tallies(self, pendant):
+        assert imbalance(pendant, 3) == 2
+        out, swaps = balance(pendant)
+        assert imbalance(out, 3) == 0
+        stepped = apply_rso(pendant, swaps[0])
+        assert imbalance(stepped, 3) == recounted(stepped)[3] < 2
+        # Moving leaf 0 from vertex 3 to vertex 5 leaves the degrees off
+        # their classes, so the rewired graph is no realization.
+        moved = pendant.rewire([(3, 0)], [(5, 0)])
+        with pytest.raises(NotRealizationError):
+            imbalance(moved, 3)
+        assert imbalance(pendant, 3) == 2
+
+
+def test_balance_command_builds_three_states(pendant, tmp_path, monkeypatch, capsys):
+    # One state per side for the report (every class's tally at once) and
+    # one for the balancing itself, whatever the number of classes.
+    calls = Counter()
+    init = _SwapState.__init__
+
+    def counted(self, g):
+        calls["state"] += 1
+        init(self, g)
+
+    monkeypatch.setattr(_SwapState, "__init__", counted)
+    path = str(tmp_path / "g.txt")
+    save_graph(pendant, path)
+    assert run(["balance", path, "--out", str(tmp_path / "h.txt")]) == 0
+    assert "imbalance_before" in capsys.readouterr().out
+    assert calls["state"] == 3

@@ -285,6 +285,22 @@ class TestSample:
         assert code == 1
         assert "--start only applies" in capsys.readouterr().err
 
+    def test_direct_refuses_burnin_and_thin(self, jdm_file, capsys):
+        argv = [
+            "sample", jdm_file([[0, 0], [0, 3]]),
+            "--chain", "direct", "--steps", "5", "--seed", "1",
+        ]
+        for extra in (["--burnin", "100"], ["--thin", "7"]):
+            assert run(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --burnin and --thin only apply to chain a or b\n"
+        # The defaults, spelled out, change nothing.
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        assert run(argv + ["--burnin", "0", "--thin", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_chain_a_reports_correlation(self, jdm_file, capsys):
         code, payload = run_json(
             [
@@ -469,6 +485,34 @@ class TestSample:
         )
         assert code == 1
         assert "matrices differ" in capsys.readouterr().err
+
+
+class TestRepeatedRuns:
+    """run builds its parser once per process; no run may see another's options."""
+
+    def test_balance_trace_is_not_carried_over(self, graph_file, pendant, tmp_path, capsys):
+        g, out, trace = graph_file(pendant), str(tmp_path / "h.txt"), tmp_path / "t.txt"
+        assert run(["balance", g, "--out", out, "--trace", str(trace)]) == 0
+        assert trace.exists()
+        trace.unlink()
+        assert run(["balance", g, "--out", out]) == 0
+        assert not trace.exists()
+
+    def test_seed_is_not_carried_over(self, jdm_file, capsys):
+        argv = ["sample", jdm_file([[0, 0], [0, 3]]), "--chain", "a", "--steps", "10"]
+        assert run(argv + ["--seed", "1"]) == 0
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_usage_error_leaves_the_parser_usable(self, jdm_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check"])
+        assert exc.value.code == 2
+        assert "usage: jdm check" in capsys.readouterr().err
+        code, payload = run_json(["check", jdm_file([[0, 2], [2, 2]])], capsys)
+        assert code == 0
+        assert payload["graphical"] is True
 
 
 class TestErrorHandling:
