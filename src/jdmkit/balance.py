@@ -150,4 +150,10 @@ def balance(g: LabeledGraph) -> Tuple[LabeledGraph, List[Rso]]:
     """Drive every class's imbalance to zero; at most sum-of-imbalances swaps."""
     state = _SwapState(g)
     swaps = _balance(state)
-    return (state.graph() if swaps else g), swaps
+    if not swaps:
+        return g, swaps
+    out = state.graph()
+    # The state kept every class's tally exactly through the swaps, so the
+    # result's imbalances (all 0) need no swap state of their own.
+    out._imb = dict(state.imb)
+    return out, swaps

@@ -246,7 +246,9 @@ class LabeledGraph:
             if present and (u not in classes or v not in classes):
                 raise GraphError(f"edge {u}-{v} uses an unknown vertex")
             for a, b in ((u, v), (v, u)):
-                ns = near.setdefault(a, set(self._adj[a]))
+                ns = near.get(a)
+                if ns is None:
+                    ns = near[a] = set(self._adj[a])
                 if present:
                     ns.add(b)
                 else:

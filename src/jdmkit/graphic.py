@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from operator import sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     GraphError,
@@ -128,9 +129,13 @@ class CandidateState:
     Vertex degrees may still disagree with their classes; psi totals that
     disagreement and reaches zero exactly at realizations.  States made by
     initial_candidate or psi_descent_step hold the counts by construction;
-    _verified marks them so descent checks only other states.  psi is counted
-    once per state and kept in _psi.  Neither is an init field, so
-    dataclasses.replace makes an unverified, uncounted state.
+    _verified marks them so that descent skips the check of class sizes and
+    pair counts, which costs as much as a descent's own setup, and runs it
+    only on other states.  psi is read more than once per state (a caller's
+    loop test, then the step's starting value), so it is counted once and
+    kept in _psi; a descent's output takes it from the descent's last full
+    recount.  Neither is an init field, so dataclasses.replace makes an
+    unverified, uncounted state.
     """
 
     jdm: Jdm
@@ -139,10 +144,11 @@ class CandidateState:
     _psi: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def _of(cls, jdm: Jdm, graph: LabeledGraph) -> "CandidateState":
+    def _of(cls, jdm: Jdm, graph: LabeledGraph, psi: Optional[int] = None) -> "CandidateState":
         """A state whose class sizes and pair counts are known to be jdm's."""
         s = cls(jdm, graph)
         object.__setattr__(s, "_verified", True)
+        object.__setattr__(s, "_psi", psi)
         return s
 
     @property
@@ -192,42 +198,88 @@ def _fits_matrix(s: CandidateState) -> bool:
     return {c: len(vs) for c, vs in part.items()} == sizes and _pair_matrix(s.graph) == s.jdm
 
 
-def psi_descent_step(s: CandidateState) -> CandidateState:
-    """Shift one edge from a surplus vertex to a deficient one; psi drops by 2.
+def _shift(nbrs: List[set], x: int, y: int, z: int) -> None:
+    """Move the workspace edge y-z to x-z."""
+    nbrs[y].remove(z)
+    nbrs[z].remove(y)
+    nbrs[z].add(x)
+    nbrs[x].add(z)
+
+
+def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
+    """Take `steps` descent steps, each shifting one edge from a surplus
+    vertex to a deficient one so that psi drops by exactly 2.
 
     Witnesses are the lowest-labeled deficient vertex x, the lowest-labeled
     surplus vertex y in x's class, and the lowest-labeled neighbor z of y that
     is neither x nor adjacent to x.  The matrix's class sizes and exact
     class-pair edge counts fix each class's degree sum at c * n_c, so y
     exists.  A step keeps both, so only a hand-built state has them checked,
-    and one that disagrees with its matrix raises GraphError.
+    once, and one that disagrees with its matrix raises GraphError.  `steps`
+    runs from 1 to psi / 2, which ends on a realization.
+
+    The steps run on one mutable workspace: per vertex position (positions
+    follow label order) its class, degree and neighbor set.  No step makes a
+    vertex newly deficient or newly surplus (x gains one up to at most its
+    class, y loses one down to at least its class, z keeps its degree), so
+    the scan for x and each class's scan for y only move forward.  After
+    every step the three touched degrees are read back from their neighbor
+    sets and psi is recounted in full over all degrees.  The result is one
+    graph, rewired from the state's by the net edge change.
     """
     g = s.graph
-    psi_before = s.psi
-    if psi_before == 0:
+    psi = s.psi
+    if psi == 0:
         raise GraphError("descent requires psi > 0")
+    if not isinstance(steps, int) or not 1 <= steps <= psi // 2:
+        raise GraphError(
+            f"steps must be an integer from 1 to psi / 2 = {psi // 2}, got {steps!r}"
+        )
     if not s._verified and not _fits_matrix(s):
         raise GraphError(
             "the state's class sizes or class-pair edge counts disagree with its matrix"
         )
-    adj, classes = g._adj, g._classes
-    x = min((v for v, c in classes.items() if len(adj[v]) < c), default=None)
-    if x is None:
-        raise GraphError("psi > 0 but no vertex is below its class")
-    cx = classes[x]
-    y = min((v for v, c in classes.items() if c == cx and len(adj[v]) > c), default=None)
-    if y is None:
-        raise GraphError(
-            f"class {cx} has a deficient vertex but no surplus one: "
-            "the state's class-pair edge counts disagree with its matrix"
-        )
-    z = next((w for w in adj[y] if w != x and not g.has_edge(x, w)), None)
-    if z is None:
-        raise GraphError("no shift target next to the surplus vertex")
-    out = CandidateState._of(s.jdm, g.rewire([(y, z)], [(x, z)]))
-    if out.psi != psi_before - 2:
-        raise GraphError("descent step must drop psi by exactly 2")
-    return out
+    verts = g._vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    classes = [g._classes[v] for v in verts]
+    nbrs = [{pos[w] for w in g._adj[v]} for v in verts]
+    degs = [len(ns) for ns in nbrs]
+    members: Dict[int, List[int]] = {}  # class -> its positions, ascending
+    for i, c in enumerate(classes):
+        members.setdefault(c, []).append(i)
+    next_y = dict.fromkeys(members, 0)  # class -> index of its scan in members
+    n, x = len(verts), 0
+    for _ in range(steps):
+        while x < n and degs[x] >= classes[x]:
+            x += 1
+        if x == n:
+            raise GraphError("psi > 0 but no vertex is below its class")
+        cx = classes[x]
+        ys, i = members[cx], next_y[cx]
+        while i < len(ys) and degs[ys[i]] <= cx:
+            i += 1
+        next_y[cx] = i
+        if i == len(ys):
+            raise GraphError(
+                f"class {cx} has a deficient vertex but no surplus one: "
+                "the state's class-pair edge counts disagree with its matrix"
+            )
+        y = ys[i]
+        targets = nbrs[y] - nbrs[x]
+        targets.discard(x)
+        z = min(targets, default=None)
+        if z is None:
+            raise GraphError("no shift target next to the surplus vertex")
+        _shift(nbrs, x, y, z)
+        for v in (x, y, z):
+            degs[v] = len(nbrs[v])
+        after = sum(map(abs, map(sub, degs, classes)))
+        if after != psi - 2:
+            raise GraphError("descent step must drop psi by exactly 2")
+        psi = after
+    edges = g._edges
+    now = {(verts[u], verts[w]) for u, ns in enumerate(nbrs) for w in ns if u < w}
+    return CandidateState._of(s.jdm, g.rewire(edges - now, now - edges), psi)
 
 
 def construct_realization(
@@ -238,9 +290,10 @@ def construct_realization(
 
 
 def _descend(state: CandidateState) -> LabeledGraph:
-    """Run psi descent from state down to a realization."""
-    while state.psi > 0:
-        state = psi_descent_step(state)
+    """Run psi descent from state down to a realization, in one batch of
+    psi / 2 steps, and check that it landed on one."""
+    if state.psi:
+        state = psi_descent_step(state, state.psi // 2)
     if not state.graph.is_realization():
         raise GraphError("descent ended on a graph that is not a realization")
     return state.graph

@@ -196,8 +196,13 @@ class TestImbalanceCache:
         [
             lambda: pool_graphs(random.Random(41), 12),
             lambda: [ladder_graph(n, random.Random(n)) for n in (20, 32)],
+            lambda: [
+                balance(g)[0]
+                for g in pool_graphs(random.Random(43), 12)
+                + [ladder_graph(n, random.Random(n)) for n in (20, 32)]
+            ],
         ],
-        ids=["pool", "ladder"],
+        ids=["pool", "ladder", "balanced"],
     )
     def test_every_class_matches_the_deviation_sum(self, graphs):
         for g in graphs():
@@ -225,9 +230,10 @@ class TestImbalanceCache:
         assert imbalance(pendant, 3) == 2
 
 
-def test_balance_command_builds_three_states(pendant, tmp_path, monkeypatch, capsys):
-    # One state per side for the report (every class's tally at once) and
-    # one for the balancing itself, whatever the number of classes.
+def test_balance_command_builds_two_states(pendant, tmp_path, monkeypatch, capsys):
+    # One state for the before-report (every class's tally at once) and one
+    # for the balancing itself, which hands its tallies to the result for the
+    # after-report, whatever the number of classes.
     calls = Counter()
     init = _SwapState.__init__
 
@@ -240,4 +246,4 @@ def test_balance_command_builds_three_states(pendant, tmp_path, monkeypatch, cap
     save_graph(pendant, path)
     assert run(["balance", path, "--out", str(tmp_path / "h.txt")]) == 0
     assert "imbalance_before" in capsys.readouterr().out
-    assert calls["state"] == 3
+    assert calls["state"] == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -171,40 +172,157 @@ class TestConstruct:
             assert sum(counts) == rebuilt.n
 
 
+def reference_step(g):
+    """One descent step by the rule on immutable graphs: the lowest deficient
+    x, the lowest surplus y in x's class, the lowest neighbor z of y that is
+    neither x nor adjacent to x; the edge y-z becomes x-z."""
+    classes = g.classes()
+    x = min(v for v in g.vertices if g.degree(v) < classes[v])
+    y = min(v for v in g.vertices if classes[v] == classes[x] and g.degree(v) > classes[v])
+    z = min(w for w in g.neighbors(y) if w != x and not g.has_edge(x, w))
+    return LabeledGraph((g.edge_set() - {tuple(sorted((y, z)))}) | {tuple(sorted((x, z)))}, classes)
+
+
+def reference_psi(g):
+    return sum(abs(g.degree(v) - g.class_of(v)) for v in g.vertices)
+
+
+def random_realization(rng, n):
+    p = rng.uniform(0.05, 0.6)
+    return LabeledGraph.from_edges(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    )
+
+
+def scrambled(g, rng, moves):
+    """g with edge ends moved between vertices of one class: every class-pair
+    count stays, degrees drift off their classes."""
+    part, classes = g.partition(), g.classes()
+    edges = set(g.edge_set())
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    for _ in range(moves):
+        u, w = rng.choice(sorted(edges))
+        to = rng.choice(part[classes[u]])
+        if to in (u, w) or to in adj[w]:
+            continue
+        edges.remove((min(u, w), max(u, w)))
+        edges.add((min(to, w), max(to, w)))
+        adj[u].discard(w)
+        adj[w].discard(u)
+        adj[w].add(to)
+        adj[to].add(w)
+    return LabeledGraph(edges, classes)
+
+
+class TestBatchDescent:
+    def check_against_singles_and_reference(self, state, k):
+        batch = psi_descent_step(state, k)
+        single = state
+        ref = state.graph
+        for _ in range(k):
+            single = psi_descent_step(single)
+            ref = reference_step(ref)
+        assert batch.graph == single.graph == ref
+        assert batch.psi == single.psi == reference_psi(ref) == state.psi - 2 * k
+
+    def test_random_matrices(self):
+        rng = random.Random(23)
+        checked = 0
+        while checked < 40:
+            g = random_realization(rng, rng.randrange(2, 61))
+            if not g.m:
+                continue
+            state = initial_candidate(extract_jdm(g))
+            if not state.psi:
+                continue
+            for k in {1, rng.randrange(1, state.psi // 2 + 1), state.psi // 2}:
+                self.check_against_singles_and_reference(state, k)
+            checked += 1
+
+    def test_consistent_hand_built_states(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 30:
+            g = random_realization(rng, rng.randrange(4, 41))
+            if not g.m:
+                continue
+            state = CandidateState(extract_jdm(g), scrambled(g, rng, g.m))
+            if not state.psi:
+                continue
+            for k in {1, rng.randrange(1, state.psi // 2 + 1), state.psi // 2}:
+                self.check_against_singles_and_reference(state, k)
+            assert psi_descent_step(state, state.psi // 2).graph.is_realization()
+            checked += 1
+
+    @pytest.mark.parametrize("steps", [0, -1, "past", 1.5])
+    def test_steps_out_of_range_are_refused(self, steps):
+        state = initial_candidate(Jdm([[0, 0, 3], [0, 0, 0], [3, 0, 6]]))
+        if steps == "past":
+            steps = state.psi // 2 + 1
+        with pytest.raises(GraphError, match="steps must be an integer from 1 to psi / 2"):
+            psi_descent_step(state, steps)
+
+
 class TestDescentCost:
-    def test_one_graph_build_and_one_step_per_psi_drop(self, monkeypatch):
-        # Each step derives its graph from the previous one by rewire, so
-        # construction builds a LabeledGraph from scratch once, for the
-        # initial candidate, however many steps the descent takes.
+    @pytest.mark.parametrize("n", [12, 60, 200])
+    def test_one_graph_build_one_step_call_and_one_rewire(self, n, monkeypatch):
+        # The descent runs on a workspace of its own and rewires the
+        # candidate once at the end, so construction builds a LabeledGraph
+        # from scratch once, for the initial candidate, and makes one step
+        # call and one rewire, however many steps the descent takes.
         rng = random.Random(200)
-        n = 200
         g = LabeledGraph.from_edges(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 8 / n
         )
         j = extract_jdm(g)
-        initial_psi = initial_candidate(j).psi
-        assert initial_psi >= 200
-        calls = {"init": 0, "step": 0}
-        init, step = LabeledGraph.__init__, graphic.psi_descent_step
+        assert initial_candidate(j).psi > 0
+        calls = Counter()
+        init, step, rewire = LabeledGraph.__init__, graphic.psi_descent_step, LabeledGraph.rewire
 
-        def counted_init(self, *args, **kwargs):
-            calls["init"] += 1
-            init(self, *args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def counted_step(s):
-            calls["step"] += 1
-            return step(s)
+            return wrapper
 
-        monkeypatch.setattr(LabeledGraph, "__init__", counted_init)
-        monkeypatch.setattr(graphic, "psi_descent_step", counted_step)
+        monkeypatch.setattr(LabeledGraph, "__init__", counted("init", init))
+        monkeypatch.setattr(LabeledGraph, "rewire", counted("rewire", rewire))
+        monkeypatch.setattr(graphic, "psi_descent_step", counted("step", step))
         out = construct_realization(j)
-        assert calls == {"init": 1, "step": initial_psi // 2}
+        assert calls == {"init": 1, "step": 1, "rewire": 1}
         assert extract_jdm(out) == j
 
     def test_psi_check_survives_optimized_mode(self, optimized_stdout):
-        # A rewire that adds x-z but keeps y-z lowers psi by one, not two.
-        # Under python -O the assert statements are gone, so only an
+        # An edge move that adds x-z but keeps y-z lowers psi by one, not
+        # two.  Under python -O the assert statements are gone, so only an
         # explicit check can refuse the step.
+        script = textwrap.dedent(
+            """
+            import sys
+            from jdmkit import graphic
+            from jdmkit.core import GraphError, Jdm
+
+            def add_only(nbrs, x, y, z):
+                nbrs[x].add(z)
+                nbrs[z].add(x)
+
+            assert sys.flags.optimize
+            graphic._shift = add_only
+            try:
+                g = graphic.construct_realization(Jdm([[0, 0, 3], [0, 0, 0], [3, 0, 6]]))
+            except GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", g)
+            """
+        )
+        out = optimized_stdout(script)
+        assert out == "GraphError: descent step must drop psi by exactly 2\n"
+
+    def test_final_rewire_is_checked_in_optimized_mode(self, optimized_stdout):
+        # A final rewire that adds the new edges but keeps the old ones
+        # lands off a realization, which the landing check refuses.
         script = textwrap.dedent(
             """
             import sys
@@ -223,4 +341,4 @@ class TestDescentCost:
             """
         )
         out = optimized_stdout(script)
-        assert out == "GraphError: descent step must drop psi by exactly 2\n"
+        assert out == "GraphError: descent ended on a graph that is not a realization\n"
