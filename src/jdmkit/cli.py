@@ -243,7 +243,8 @@ def _cmd_sample(args) -> int:
     for taken in range(args.burnin + 1, args.steps + 1, args.thin):
         runner.advance(taken - runner.steps)
         simple_samples += runner.is_simple()
-        series.append(1.0 if runner.pair_counts == start_counts else 0.0)
+        # Dict == walks its left operand; the chain's map holds its new pairs last.
+        series.append(1.0 if start_counts == runner.pair_counts else 0.0)
     runner.advance(args.steps - runner.steps)
     retained = len(series)
     payload.update(

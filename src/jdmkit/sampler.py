@@ -16,6 +16,7 @@ from bisect import bisect_right
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -186,7 +187,7 @@ def _excess(counts: Dict[Tuple[int, int], int]) -> int:
 
 
 class ChainRunner:
-    """Mutable swap-chain state with incremental bookkeeping.
+    """Mutable swap-chain state with the multigraph kept where it is read.
 
     One step: with probability 1/2 hold; otherwise draw a matched pair
     uniformly over all components, then a second matched pair uniformly over
@@ -197,12 +198,20 @@ class ChainRunner:
 
     Randomness contract per step: one randrange(2) draw; if it says move, one
     randrange(#pairs) draw, and one randrange(component size - 1) draw when
-    that component has more than one pair.
+    that component has more than one pair.  The values are randrange's.  For
+    a generator whose type uses random.Random's own randrange they are drawn
+    through its _randbelow, which that randrange calls for every bound of 1
+    or more; any other generator (one overriding randrange, or a duck-typed
+    one) is asked through its randrange.
 
     advance(k) runs k steps in one loop and step() is advance(1).  A batch
     makes the same draws in the same order as k single steps, and leaves
     perms, inv, pair_counts, nonsimple, steps, holds and rejects exactly as
-    they would be after them.
+    they would be after them.  Chain b updates pair_counts and nonsimple on
+    every move, since it reads them on every proposal.  Chain a does so only
+    in a batch shorter than the matrix's edge count m; a batch of m steps or
+    more just exchanges points and recounts the multigraph once at its end,
+    in one pass over the edge labels (also when a draw raises).
     """
 
     def __init__(self, model: ConfigModel, start: Configuration, kind: str, rng):
@@ -214,13 +223,15 @@ class ChainRunner:
         self.kind = kind
         self.rng = rng
         self.perms = [list(p) for p in start.match]
+        sizes = model.component_sizes()
+        if [sorted(p) for p in self.perms] != [list(range(n)) for n in sizes]:
+            raise GraphError("every edge label must receive exactly two points")
         self.inv = [
             [0] * len(p) for p in self.perms
         ]  # point_idx -> mini_idx per component
         for ci, p in enumerate(self.perms):
             for mi, pi in enumerate(p):
                 self.inv[ci][pi] = mi
-        sizes = model.component_sizes()
         # starts[ci]: index of component ci's first pair among all pairs.
         starts = [0, *itertools.accumulate(sizes)]
         where: Dict[Tuple, Tuple[int, int]] = {}
@@ -234,11 +245,20 @@ class ChainRunner:
         ]
         # verts[ci][mi]: the vertex that owns mini-vertex mi of component ci.
         verts = [[v for v, _slot in model.minis[c]] for c in model.component_classes]
+        # firsts[e], seconds[e]: the two points of edge label e, each as its
+        # component's offset in starts plus its index there.
+        firsts: List[int] = []
+        seconds: List[int] = []
+        for ci, mate in enumerate(mates):
+            for p, (cj, q) in enumerate(mate):
+                if (ci, p) < (cj, q):
+                    firsts.append(starts[ci] + p)
+                    seconds.append(starts[cj] + q)
+        self._labels = (verts, firsts, seconds)
         # The fixed tables advance() reads, in one attribute so that binding
         # them costs a single load per call.
-        self._tables = (kind == "b", starts, starts[-1], sizes, mates, verts)
-        self.pair_counts: Dict[Tuple[int, int], int] = to_multigraph(start).pair_counts
-        self.nonsimple = _excess(self.pair_counts)
+        self._tables = (kind == "b", starts, starts[-1], len(firsts), sizes, mates, verts)
+        self._recount()
         if kind == "b" and self.nonsimple:
             raise GraphError("chain b needs a simple starting configuration")
         self.steps = 0
@@ -252,13 +272,22 @@ class ChainRunner:
         """Run k steps of the chain in one loop."""
         if k < 0:
             raise GraphError(f"cannot advance by {k} steps")
-        reject_nonsimple, starts, total, sizes, mates, verts = self._tables
-        randrange = self.rng.randrange
+        reject_nonsimple, starts, total, edges, sizes, mates, verts = self._tables
+        # Chain b reads the multigraph on every proposal.  Chain a never reads
+        # it while stepping, and a recount is one pass over the edge labels:
+        # a batch with at least one step per label only swaps points and
+        # recounts once at the end, which costs less than per-move updates.
+        track = reject_nonsimple or k < edges
+        rng = self.rng
+        # Random.randrange(n) returns self._randbelow(n) for every int n >= 1.
+        randrange = (
+            rng._randbelow if type(rng).randrange is random.Random.randrange else rng.randrange
+        )
         perms, invs, counts = self.perms, self.inv, self.pair_counts
         nonsimple = self.nonsimple
         done = holds = rejects = 0
-        # The counters are written back even if a draw raises, so that they
-        # always describe the steps taken.
+        # The counters and the multigraph are written back even if a draw
+        # raises, so that they always describe the steps taken.
         try:
             while done < k:
                 done += 1
@@ -275,51 +304,69 @@ class ChainRunner:
                 mi2 = randrange(size - 1)
                 if mi2 >= mi1:
                     mi2 += 1
-                perm, inv, mate = perms[ci], invs[ci], mates[ci]
+                perm, inv = perms[ci], invs[ci]
                 p1, p2 = perm[mi1], perm[mi2]
-                # When p1 and p2 carry one edge label, the label keeps the same
-                # two clouds and the multigraph cannot change.  Otherwise each
-                # label moves to the other mini-vertex while its mate point
-                # stays put.
-                c1, q1 = mate[p1]
-                if c1 != ci or q1 != p2:
-                    c2, q2 = mate[p2]
-                    u1, u2 = verts[ci][mi1], verts[ci][mi2]
-                    w1, w2 = verts[c1][invs[c1][q1]], verts[c2][invs[c2][q2]]
-                    old1 = (u1, w1) if u1 <= w1 else (w1, u1)
-                    old2 = (u2, w2) if u2 <= w2 else (w2, u2)
-                    new1 = (u2, w1) if u2 <= w1 else (w1, u2)
-                    new2 = (u1, w2) if u1 <= w2 else (w2, u1)
-                    if reject_nonsimple and (
-                        u2 == w1
-                        or u1 == w2
-                        or new1 == new2
-                        or (new1 in counts and new1 != old1 and new1 != old2)
-                        or (new2 in counts and new2 != old1 and new2 != old2)
-                    ):
-                        rejects += 1
-                        continue
-                    for old in (old1, old2):
-                        left = counts[old] - 1
-                        if left:
-                            counts[old] = left
-                            nonsimple -= 1
-                        else:
-                            del counts[old]
-                            if old[0] == old[1]:
+                if track:
+                    # When p1 and p2 carry one edge label, the label keeps the
+                    # same two clouds and the multigraph cannot change.
+                    # Otherwise each label moves to the other mini-vertex while
+                    # its mate point stays put.
+                    mate = mates[ci]
+                    c1, q1 = mate[p1]
+                    if c1 != ci or q1 != p2:
+                        c2, q2 = mate[p2]
+                        u1, u2 = verts[ci][mi1], verts[ci][mi2]
+                        w1, w2 = verts[c1][invs[c1][q1]], verts[c2][invs[c2][q2]]
+                        old1 = (u1, w1) if u1 <= w1 else (w1, u1)
+                        old2 = (u2, w2) if u2 <= w2 else (w2, u2)
+                        new1 = (u2, w1) if u2 <= w1 else (w1, u2)
+                        new2 = (u1, w2) if u1 <= w2 else (w2, u1)
+                        if reject_nonsimple and (
+                            u2 == w1
+                            or u1 == w2
+                            or new1 == new2
+                            or (new1 in counts and new1 != old1 and new1 != old2)
+                            or (new2 in counts and new2 != old1 and new2 != old2)
+                        ):
+                            rejects += 1
+                            continue
+                        for old in (old1, old2):
+                            left = counts[old] - 1
+                            if left:
+                                counts[old] = left
                                 nonsimple -= 1
-                    for new in (new1, new2):
-                        had = counts.get(new, 0)
-                        if had or new[0] == new[1]:
-                            nonsimple += 1
-                        counts[new] = had + 1
+                            else:
+                                del counts[old]
+                                if old[0] == old[1]:
+                                    nonsimple -= 1
+                        for new in (new1, new2):
+                            had = counts.get(new, 0)
+                            if had or new[0] == new[1]:
+                                nonsimple += 1
+                            counts[new] = had + 1
                 perm[mi1], perm[mi2] = p2, p1
                 inv[p1], inv[p2] = mi2, mi1
         finally:
             self.steps += done
             self.holds += holds
             self.rejects += rejects
-            self.nonsimple = nonsimple
+            if track:
+                self.nonsimple = nonsimple
+            else:
+                self._recount()
+
+    def _recount(self) -> None:
+        """Set pair_counts and nonsimple from the matching, one pass over the
+        edge labels."""
+        verts, firsts, seconds = self._labels
+        # owner[starts[ci] + p]: the vertex that point p of component ci lands on.
+        owner = [v for vs, inv in zip(verts, self.inv) for v in map(vs.__getitem__, inv)]
+        counts: Dict[Tuple[int, int], int] = {}
+        for u, w in zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds)):
+            key = (u, w) if u <= w else (w, u)
+            counts[key] = counts.get(key, 0) + 1
+        self.pair_counts = counts
+        self.nonsimple = _excess(counts)
 
     def is_simple(self) -> bool:
         return self.nonsimple == 0

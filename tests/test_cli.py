@@ -424,10 +424,17 @@ class TestSample:
         assert len(calls["advance"]) <= payload["retained_samples"] + 1
         assert sum(calls["advance"]) == steps
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_series_marks_returns_to_the_start_multigraph(self, seed, jdm_file, capsys):
+    @pytest.mark.parametrize(
+        "seed, thin",
+        # The matrix has 3 edges, so --thin 5 advances chain a in batches that
+        # recount the multigraph once each.
+        [pytest.param(seed, thin, id=f"{seed}-thin{thin}" if thin > 1 else str(seed))
+         for thin in (1, 5) for seed in range(3)],
+    )
+    def test_series_marks_returns_to_the_start_multigraph(self, seed, thin, jdm_file, capsys):
         # Replay the command's chain from the identity configuration and
-        # compare full multigraphs after every step.
+        # compare full multigraphs after every step; the command retains
+        # every thin-th of them.
         j = Jdm([[0, 0], [0, 3]])
         model = build_model(j)
         identity = Configuration(
@@ -439,18 +446,21 @@ class TestSample:
         for _ in range(200):
             runner.step()
             series.append(1.0 if to_multigraph(runner.configuration()).fiber_key() == start else 0.0)
-        assert 0 < sum(series) < 200
-        expected = autocorrelation(series, max_lag=100)
+        retained = series[::thin]
+        assert 0 < sum(retained) < len(retained)
+        max_lag = min(100, len(retained) - 1)
+        expected = autocorrelation(retained, max_lag=max_lag)
         code, payload = run_json(
             [
                 "sample", jdm_file(j.rows),
-                "--chain", "a", "--steps", "200", "--seed", str(seed),
+                "--chain", "a", "--steps", "200", "--thin", str(thin), "--seed", str(seed),
             ],
             capsys,
         )
         assert code == 0
+        assert payload["retained_samples"] == len(retained)
         assert payload["autocorrelation"] == {
-            "max_lag": 100,
+            "max_lag": max_lag,
             "integrated_time": expected.integrated_time,
             "rho": list(expected.rho),
         }

@@ -241,6 +241,9 @@ class TestChainRunner:
             ChainRunner(other, start, "a", random.Random(0))
         with pytest.raises(GraphError, match="simple starting"):
             ChainRunner(model, start, "b", random.Random(0))
+        for match in ((0, 0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6)):
+            with pytest.raises(GraphError, match="exactly two points"):
+                ChainRunner(model, Configuration(model=model, match=(match,)), "a", random.Random(0))
 
     def test_bookkeeping_matches_recomputation(self):
         j = Jdm([[0, 2], [2, 2]])
@@ -349,6 +352,37 @@ def _runner_state(runner):
     )
 
 
+def _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts):
+    """Advance batched in one call of k steps, single and the reference by k
+    single steps, then check that all three describe the same chain."""
+    model, kind = batched.model, batched.kind
+    batched.advance(k)
+    for _ in range(k):
+        single.step()
+        ref_counts[_reference_step(model, ref_perms, kind, ref_rng)] += 1
+    assert _runner_state(batched) == _runner_state(single)
+    fresh = to_multigraph(Configuration(model=model, match=tuple(map(tuple, ref_perms))))
+    assert batched.perms == ref_perms
+    assert all(inv[p[mi]] == mi for p, inv in zip(batched.perms, batched.inv) for mi in range(len(p)))
+    assert batched.pair_counts == fresh.pair_counts
+    assert batched.nonsimple == sum(
+        mult if u == v else mult - 1 for (u, v), mult in fresh.pair_counts.items()
+    )
+    assert (batched.holds, batched.rejects) == (ref_counts["hold"], ref_counts["reject"])
+    assert batched.steps == sum(ref_counts.values())
+    assert batched.rng.getstate() == ref_rng.getstate()
+
+
+class CountingRandom(random.Random):
+    """A generator that overrides randrange, counting the calls it gets."""
+
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
 # Class 2's diagonal pair and the cross pair (1, 2) give loops, parallel edges
 # and chain-b rejections; a triangle with a pendant vertex has a class-1
 # component of one pair; the edgeless matrix has no pair at all.
@@ -382,21 +416,7 @@ class TestAdvance:
         nonsimple_seen = False
         for _ in range(60):
             k = sizes.choice((0, 1, 1, 2, 3, 7, 16, 40))
-            batched.advance(k)
-            for _ in range(k):
-                single.step()
-                ref_counts[_reference_step(model, ref_perms, kind, ref_rng)] += 1
-            assert _runner_state(batched) == _runner_state(single)
-            fresh = to_multigraph(Configuration(model=model, match=tuple(map(tuple, ref_perms))))
-            assert batched.perms == ref_perms
-            assert all(inv[p[mi]] == mi for p, inv in zip(batched.perms, batched.inv) for mi in range(len(p)))
-            assert batched.pair_counts == fresh.pair_counts
-            assert batched.nonsimple == sum(
-                mult if u == v else mult - 1 for (u, v), mult in fresh.pair_counts.items()
-            )
-            assert (batched.holds, batched.rejects) == (ref_counts["hold"], ref_counts["reject"])
-            assert batched.steps == sum(ref_counts.values())
-            assert batched.rng.getstate() == ref_rng.getstate()
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
             nonsimple_seen |= batched.nonsimple > 0
         if rows != [[0]]:
             assert ref_counts["move"] > 0
@@ -418,15 +438,66 @@ class TestAdvance:
     def test_counters_describe_the_steps_taken_when_a_draw_raises(self):
         model = build_model(Jdm([[0, 0], [0, 3]]))
         start = Configuration(model=model, match=(tuple(range(6)),))
-        # A hold, then a move of mini-vertices 0 and 3; the third step's first
-        # draw finds the queue empty.
-        runner = ChainRunner(model, start, "a", ScriptedRng([(2, 0), (2, 1), (6, 0), (5, 2)]))
-        with pytest.raises(IndexError):
-            runner.advance(5)
-        assert (runner.steps, runner.holds, runner.rejects) == (3, 1, 0)
-        assert runner.perms == [[3, 1, 2, 0, 4, 5]]
-        assert runner.pair_counts == {(0, 1): 2, (2, 2): 1}
-        assert runner.nonsimple == 2
+        move = [(2, 1), (6, 0), (5, 2)]
+        # The matrix has 3 edges: a batch of 2 keeps the multigraph move by
+        # move, a batch of 5 recounts it when the draw raises.  Either way a
+        # move of mini-vertices 0 and 3 (after a hold in the longer batch) is
+        # followed by a step whose first draw finds the queue empty.
+        for k, queue, holds in ((2, move, 0), (5, [(2, 0), *move], 1)):
+            runner = ChainRunner(model, start, "a", ScriptedRng(queue))
+            with pytest.raises(IndexError):
+                runner.advance(k)
+            assert (runner.steps, runner.holds, runner.rejects) == (holds + 2, holds, 0)
+            assert runner.perms == [[3, 1, 2, 0, 4, 5]]
+            assert runner.inv == [[3, 1, 2, 0, 4, 5]]
+            assert runner.pair_counts == {(0, 1): 2, (2, 2): 1}
+            assert runner.pair_counts == to_multigraph(runner.configuration()).pair_counts
+            assert runner.nonsimple == 2
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_a_generator_overriding_randrange_gets_every_draw(self, kind):
+        j = Jdm([[0, 2], [2, 2]])
+        model, start = self._start(j, kind)
+        batched = ChainRunner(model, start, kind, CountingRandom(6))
+        single = ChainRunner(model, start, kind, random.Random(6))
+        ref_perms = [list(p) for p in start.match]
+        ref_rng = CountingRandom(6)
+        ref_counts = {"hold": 0, "reject": 0, "move": 0}
+        # The matrix has 4 edges, so the batches fall on both sides of the rule.
+        for k in (1, 3, 4, 9, 30):
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+        assert batched.rng.calls == ref_rng.calls > batched.steps
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batches_either_side_of_the_edge_count(self, seed, kind, monkeypatch):
+        # G(n, 8/n) at n = 40: batches of m - 1, m, m + 1 and 3m steps.
+        rng = random.Random(seed)
+        g = LabeledGraph.from_edges(
+            (u, v) for u, v in itertools.combinations(range(40), 2) if rng.random() < 8 / 40
+        )
+        m = len(g.edges())
+        model, start = self._start(extract_jdm(g), kind)
+        recounts = []
+        recount = ChainRunner._recount
+
+        def counted_recount(runner):
+            recounts.append(runner)
+            recount(runner)
+
+        monkeypatch.setattr(ChainRunner, "_recount", counted_recount)
+        batched = ChainRunner(model, start, kind, random.Random(seed))
+        single = ChainRunner(model, start, kind, random.Random(seed))
+        ref_perms = [list(p) for p in start.match]
+        ref_rng = random.Random(seed)
+        ref_counts = {"hold": 0, "reject": 0, "move": 0}
+        for k in (m - 1, m, m + 1, 3 * m):
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+        # Each runner counts its start; only chain a's batches of m or more
+        # steps recount after it.
+        assert recounts == [batched, single] + [batched] * 3 * (kind == "a")
+        assert ref_counts["move"] > 0
+        assert (ref_counts["reject"] > 0) if kind == "b" else (ref_counts["hold"] > 0)
 
 
 class TestAutocorrelation:
