@@ -221,49 +221,21 @@ class LabeledGraph:
     def rewire(self, remove: Iterable[Tuple[int, int]], add: Iterable[Tuple[int, int]]) -> "LabeledGraph":
         """New graph with the same classes, some edges removed and others added.
 
-        The result shares this graph's validated class map and vertex tuple
-        and rebuilds only the touched vertices' neighbor tuples.
+        Removed edges must be present and added ones absent, checked in call
+        order; building the result then refuses loops and unknown vertices.
         """
         edges = set(self._edges)
-        moved = []  # (edge key, present afterwards), in call order
         for u, v in remove:
             key = (u, v) if u < v else (v, u)
             if key not in edges:
                 raise GraphError(f"cannot remove missing edge {u}-{v}")
             edges.remove(key)
-            moved.append((key, False))
         for u, v in add:
             key = (u, v) if u < v else (v, u)
             if key in edges:
                 raise GraphError(f"cannot add existing edge {u}-{v}")
             edges.add(key)
-            moved.append((key, True))
-        classes = self._classes
-        near: Dict[int, set] = {}
-        for (u, v), present in moved:
-            if present and u == v:
-                raise GraphError(f"loop at vertex {u} not allowed")
-            if present and (u not in classes or v not in classes):
-                raise GraphError(f"edge {u}-{v} uses an unknown vertex")
-            for a, b in ((u, v), (v, u)):
-                ns = near.get(a)
-                if ns is None:
-                    ns = near[a] = set(self._adj[a])
-                if present:
-                    ns.add(b)
-                else:
-                    ns.discard(b)
-        adj = dict(self._adj)
-        for v, ns in near.items():
-            adj[v] = tuple(sorted(ns))
-        out = LabeledGraph.__new__(LabeledGraph)
-        out._classes = classes
-        out._edges = frozenset(edges)
-        out._adj = adj
-        out._vertices = self._vertices
-        out._delta = self._delta
-        out._hash = None
-        return out
+        return LabeledGraph(edges, self._classes)
 
     def _require(self, v: int) -> None:
         if v not in self._classes:

@@ -131,33 +131,25 @@ class CandidateState:
     initial_candidate or psi_descent_step hold the counts by construction;
     _verified marks them so that descent skips the check of class sizes and
     pair counts, which costs as much as a descent's own setup, and runs it
-    only on other states.  psi is read more than once per state (a caller's
-    loop test, then the step's starting value), so it is counted once and
-    kept in _psi; a descent's output takes it from the descent's last full
-    recount.  Neither is an init field, so dataclasses.replace makes an
-    unverified, uncounted state.
+    only on other states.  _verified is not an init field, so
+    dataclasses.replace makes an unverified state.
     """
 
     jdm: Jdm
     graph: LabeledGraph
     _verified: bool = field(default=False, init=False, repr=False, compare=False)
-    _psi: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def _of(cls, jdm: Jdm, graph: LabeledGraph, psi: Optional[int] = None) -> "CandidateState":
+    def _of(cls, jdm: Jdm, graph: LabeledGraph) -> "CandidateState":
         """A state whose class sizes and pair counts are known to be jdm's."""
         s = cls(jdm, graph)
         object.__setattr__(s, "_verified", True)
-        object.__setattr__(s, "_psi", psi)
         return s
 
     @property
     def psi(self) -> int:
-        if self._psi is None:
-            adj = self.graph._adj
-            psi = sum(abs(len(adj[v]) - c) for v, c in self.graph._classes.items())
-            object.__setattr__(self, "_psi", psi)
-        return self._psi
+        adj = self.graph._adj
+        return sum(abs(len(adj[v]) - c) for v, c in self.graph._classes.items())
 
     def pair_counts(self) -> Dict[Tuple[int, int], int]:
         pairs = _edges_by_class_pair(self.graph._classes, self.graph.edge_set())
@@ -279,7 +271,7 @@ def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
         psi = after
     edges = g._edges
     now = {(verts[u], verts[w]) for u, ns in enumerate(nbrs) for w in ns if u < w}
-    return CandidateState._of(s.jdm, g.rewire(edges - now, now - edges), psi)
+    return CandidateState._of(s.jdm, g.rewire(edges - now, now - edges))
 
 
 def construct_realization(

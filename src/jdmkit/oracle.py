@@ -1,7 +1,7 @@
 """Brute-force enumeration over small matrices, for cross-checking fast code.
 
 Everything here is exponential and deliberately simple: exhaustive search for
-realizations, breadth-first search over the swap adjacency of the full
+realizations, depth-first search over the swap adjacency of the full
 realization set, and a full sweep of the stub-matching configurations.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import GraphError, Jdm, LabeledGraph, _assign_labels, _partition, vertex_counts
 from .sampler import Configuration, build_model, to_multigraph
@@ -128,27 +128,25 @@ def metagraph_connected(
     labels: Optional[Sequence[int]] = None,
     max_vertices: Optional[int] = 12,
 ) -> MetagraphReport:
-    """Breadth-first search over realizations joined by single swaps.
+    """Depth-first search over realizations joined by single swaps.
 
     Two realizations are adjacent when one swap (remove ac, bd; add bc, ad
-    with a and b sharing a class) turns one into the other.  An empty
-    realization set reports zero nodes and counts as connected.
+    with a and b sharing a class) turns one into the other.  The search
+    visits edge sets only, since every realization shares the class map.  An
+    empty realization set reports zero nodes and counts as connected.
     """
     space = enumerate_realizations(j, labels=labels, max_vertices=max_vertices)
-    keys = {g.edge_set(): g for g in space}
-    unseen = set(keys)
+    part = space[0].partition() if space else {}
+    unseen = {g.edge_set() for g in space}
     components = 0
     while unseen:
         components += 1
-        seed = unseen.pop()
-        frontier = [keys[seed]]
+        frontier = [unseen.pop()]
         while frontier:
-            g = frontier.pop()
-            for h in _swap_neighbors(g):
-                key = h.edge_set()
+            for key in _swap_neighbors(frontier.pop(), part):
                 if key in unseen:
                     unseen.remove(key)
-                    frontier.append(keys[key])
+                    frontier.append(key)
     return MetagraphReport(
         node_count=len(space),
         component_count=components,
@@ -156,18 +154,19 @@ def metagraph_connected(
     )
 
 
-def _swap_neighbors(g: LabeledGraph):
-    """All realizations one swap away from g."""
-    part = g.partition()
+def _swap_neighbors(edges: FrozenSet[Tuple[int, int]], part: Dict[int, Tuple[int, ...]]):
+    """Edge sets one swap away from a realization's, part mapping class -> vertices."""
+    adj: Dict[int, set] = {v: set() for vs in part.values() for v in vs}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    key = lambda u, v: (u, v) if u < v else (v, u)
     for vs in part.values():
         for a, b in itertools.combinations(vs, 2):
-            na = set(g.neighbors(a))
-            nb = set(g.neighbors(b))
-            for c in sorted(na - nb - {b}):
-                for d in sorted(nb - na - {a}):
-                    yield g.rewire(
-                        remove=[(a, c), (b, d)], add=[(b, c), (a, d)]
-                    )
+            na, nb = adj[a], adj[b]
+            for c in na - nb - {b}:
+                for d in nb - na - {a}:
+                    yield edges - {key(a, c), key(b, d)} | {key(b, c), key(a, d)}
 
 
 @dataclass(frozen=True)

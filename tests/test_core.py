@@ -259,8 +259,9 @@ def test_random_rso_round_trips():
 
 
 class TestRewireDifferential:
-    """rewire derives its result from the source graph instead of rebuilding
-    it; every observable must match a graph built from scratch."""
+    """A rewired or swapped graph must match, in every observable, a graph
+    built from scratch on the same edges and classes, and leave its source
+    unchanged."""
 
     @staticmethod
     def random_graph(n, rng):

@@ -267,9 +267,10 @@ class TestDescentCost:
     @pytest.mark.parametrize("n", [12, 60, 200])
     def test_one_graph_build_one_step_call_and_one_rewire(self, n, monkeypatch):
         # The descent runs on a workspace of its own and rewires the
-        # candidate once at the end, so construction builds a LabeledGraph
-        # from scratch once, for the initial candidate, and makes one step
-        # call and one rewire, however many steps the descent takes.
+        # candidate once at the end, so construction builds two
+        # LabeledGraphs, the initial candidate and the rewired result, and
+        # makes one step call and one rewire, however many steps the descent
+        # takes.
         rng = random.Random(200)
         g = LabeledGraph.from_edges(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 8 / n
@@ -290,7 +291,7 @@ class TestDescentCost:
         monkeypatch.setattr(LabeledGraph, "rewire", counted("rewire", rewire))
         monkeypatch.setattr(graphic, "psi_descent_step", counted("step", step))
         out = construct_realization(j)
-        assert calls == {"init": 1, "step": 1, "rewire": 1}
+        assert calls == {"init": 2, "step": 1, "rewire": 1}
         assert extract_jdm(out) == j
 
     def test_psi_check_survives_optimized_mode(self, optimized_stdout):

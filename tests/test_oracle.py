@@ -1,16 +1,22 @@
 """Exhaustive ground-truth searches: realizations, swap reachability, census."""
 
 import itertools
+import random
 
 import pytest
 
-from jdmkit.core import GraphError, Jdm, LabeledGraph, extract_jdm
+from jdmkit.core import GraphError, Jdm, LabeledGraph, Rso, SwapError, apply_rso, extract_jdm
 from jdmkit.graphic import check_graphical
 from jdmkit.oracle import (
+    _swap_neighbors,
     enumerate_configurations,
     enumerate_realizations,
     metagraph_connected,
 )
+
+# The 7-vertex matrix with the most realizations (810): one degree-2 vertex
+# joined to two of six degree-3 vertices.
+WIDEST_7 = Jdm([[0, 0, 0], [0, 0, 2], [0, 2, 8]])
 
 
 class TestEnumerateRealizations:
@@ -68,6 +74,33 @@ class TestMetagraph:
         report = metagraph_connected(Jdm([[0, 0], [0, 3]]))
         assert report.node_count == 1
         assert report.connected
+
+
+def swap_results(g):
+    """Edge sets of apply_rso over every swap Rso.validate accepts on g."""
+    out = set()
+    for a, b, c, d in itertools.permutations(g.vertices, 4):
+        r = Rso(a, b, c, d, pivot_class=g.class_of(a))
+        try:
+            r.validate(g)
+        except SwapError:
+            continue
+        out.add(apply_rso(g, r).edge_set())
+    return out
+
+
+def test_swap_neighbors_are_the_validated_swaps():
+    # The search's neighbor relation, built on edge sets alone, must be the
+    # one that Rso.validate and apply_rso define on graphs.
+    widest = enumerate_realizations(WIDEST_7, max_vertices=7)
+    assert len(widest) == 810
+    cases = (
+        enumerate_realizations(Jdm([[0, 0], [0, 6]]))
+        + enumerate_realizations(Jdm([[0, 2], [2, 2]]))
+        + random.Random(13).sample(widest, 30)
+    )
+    for g in cases:
+        assert set(_swap_neighbors(g.edge_set(), g.partition())) == swap_results(g)
 
 
 class TestEnumerateConfigurations:
