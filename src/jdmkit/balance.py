@@ -14,6 +14,7 @@ from .core import (
     _average_table,
     _floor_dev,
     _require_realization,
+    _tallies,
     extract_jdm,
 )
 
@@ -67,17 +68,10 @@ def deviation(g: LabeledGraph, v: int, i: int) -> int:
 
 
 def imbalance(g: LabeledGraph, j: int) -> int:
-    """Total deviation over class j's vertices and all spectrum components.
-
-    The tallies are computed once per graph: the first call reads every
-    class's imbalance off one swap state and keeps the map on the graph,
-    which is immutable; later calls read it.  A graph that is not a
-    realization raises on every call and keeps nothing.
-    """
-    imb = getattr(g, "_imb", None)
-    if imb is None:
-        imb = g._imb = _SwapState(g).imb
-    return imb.get(j, 0)
+    """Total deviation over class j's vertices and all spectrum components,
+    recounted from class j's spectra with the swap state's tally routine."""
+    _require_realization(g)
+    return sum(_tallies([g.spectrum(v) for v, c in g._classes.items() if c == j]))
 
 
 def _balance_step(state: _SwapState, j: int) -> Rso:
@@ -150,10 +144,4 @@ def balance(g: LabeledGraph) -> Tuple[LabeledGraph, List[Rso]]:
     """Drive every class's imbalance to zero; at most sum-of-imbalances swaps."""
     state = _SwapState(g)
     swaps = _balance(state)
-    if not swaps:
-        return g, swaps
-    out = state.graph()
-    # The state kept every class's tally exactly through the swaps, so the
-    # result's imbalances (all 0) need no swap state of their own.
-    out._imb = dict(state.imb)
-    return out, swaps
+    return (state.graph() if swaps else g), swaps

@@ -110,8 +110,7 @@ class LabeledGraph:
     representable.  ``is_realization`` reports whether they agree everywhere.
     """
 
-    # _imb (class -> imbalance) is left unset until balance.imbalance fills it.
-    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta", "_hash", "_imb")
+    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta")
 
     def __init__(self, edges: Iterable[Tuple[int, int]], classes: Mapping[int, int]):
         cls: Dict[int, int] = {}
@@ -136,14 +135,9 @@ class LabeledGraph:
             edge_set.add(key)
         self._classes = cls
         self._edges = frozenset(edge_set)
-        adj: Dict[int, set] = {v: set() for v in cls}
-        for u, v in edge_set:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._adj = {v: tuple(sorted(ns)) for v, ns in _adjacency(cls, edge_set).items()}
         self._vertices = tuple(sorted(cls))
         self._delta = max(cls.values(), default=0)
-        self._hash = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[int, int]]) -> "LabeledGraph":
@@ -247,9 +241,7 @@ class LabeledGraph:
         return self._classes == other._classes and self._edges == other._edges
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((tuple(sorted(self._classes.items())), self._edges))
-        return self._hash
+        return hash((tuple(sorted(self._classes.items())), self._edges))
 
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.n}, m={self.m}, delta={self.delta})"
@@ -297,6 +289,15 @@ class Rso:
 
     def __str__(self) -> str:
         return f"{self.a} {self.b} {self.c} {self.d} {self.pivot_class}"
+
+
+def _adjacency(nodes: Iterable, edges: Iterable[Tuple]) -> Dict:
+    """Map each node to the set of its neighbors over an edge list."""
+    adj: Dict = {v: set() for v in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def _partition(classes: Mapping[int, int]) -> Dict[int, Tuple[int, ...]]:
@@ -388,6 +389,18 @@ def _floor_dev(num: int, den: int, s: int) -> int:
     return abs(num - s * den) // den
 
 
+def _tallies(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Per component, sum of floor(|mean - s|) over the rows s, in integers; over one
+    class of a realization the mean is the matrix's average (_average_table)."""
+    n, out = len(rows), []
+    for col in zip(*rows):
+        t, dev = sum(col), 0
+        for s in col:
+            dev += abs(t - s * n) // n
+        out.append(dev)
+    return out
+
+
 def _class_sizes(j: Jdm) -> List[int]:
     """Vertex count per class; GraphError when the matrix forces a fraction."""
     sizes = []
@@ -459,7 +472,7 @@ class _SwapState:
 
     def __init__(self, g: LabeledGraph):
         self.jdm = extract_jdm(g)
-        self.avg = avg = _average_table(self.jdm)
+        self.avg = _average_table(self.jdm)
         self.classes = classes = g._classes
         self.adj = {v: set(ns) for v, ns in g._adj.items()}
         self.part = g.partition()
@@ -470,13 +483,9 @@ class _SwapState:
             for w in ns:
                 counts[classes[w] - 1] += 1
             spec[v] = counts
-        self.dev: Dict[Tuple[int, int], int] = {}
-        self.imb: Dict[int, int] = {}
-        for j, members in self.part.items():
-            for i in range(1, delta + 1):
-                num, den = avg[(j, i)]
-                self.dev[(j, i)] = sum(abs(num - spec[v][i - 1] * den) // den for v in members)
-            self.imb[j] = sum(self.dev[(j, i)] for i in range(1, delta + 1))
+        tallies = {j: _tallies([spec[v] for v in vs]) for j, vs in self.part.items()}
+        self.dev = {(j, i): t for j, ts in tallies.items() for i, t in enumerate(ts, start=1)}
+        self.imb = {j: sum(ts) for j, ts in tallies.items()}
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import GraphError, Jdm, LabeledGraph, _assign_labels, _partition, vertex_counts
+from .core import GraphError, Jdm, LabeledGraph, vertex_counts
+from .core import _adjacency, _assign_labels, _partition
 from .sampler import Configuration, build_model, to_multigraph
 
 __all__ = [
@@ -156,10 +157,7 @@ def metagraph_connected(
 
 def _swap_neighbors(edges: FrozenSet[Tuple[int, int]], part: Dict[int, Tuple[int, ...]]):
     """Edge sets one swap away from a realization's, part mapping class -> vertices."""
-    adj: Dict[int, set] = {v: set() for vs in part.values() for v in vs}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency((v for vs in part.values() for v in vs), edges)
     key = lambda u, v: (u, v) if u < v else (v, u)
     for vs in part.values():
         for a, b in itertools.combinations(vs, 2):

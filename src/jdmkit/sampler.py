@@ -270,8 +270,8 @@ class ChainRunner:
 
     def advance(self, k: int) -> None:
         """Run k steps of the chain in one loop."""
-        if k < 0:
-            raise GraphError(f"cannot advance by {k} steps")
+        if not isinstance(k, int) or k < 0:
+            raise GraphError(f"cannot advance by {k!r} steps")
         reject_nonsimple, starts, total, edges, sizes, mates, verts = self._tables
         # Chain b reads the multigraph on every proposal.  Chain a never reads
         # it while stepping, and a recount is one pass over the edge labels:
@@ -454,6 +454,8 @@ def autocorrelation(series, max_lag: int) -> AutocorrelationResult:
     (initial-positive-sequence truncation).  A constant series is defined to
     have zero correlation beyond lag zero.  Sums are correctly rounded (fsum).
     """
+    if not isinstance(max_lag, int) or max_lag < 0:
+        raise GraphError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     x = [float(v) for v in series]
     n = len(x)
     if n <= max_lag:

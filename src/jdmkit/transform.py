@@ -11,6 +11,7 @@ from .core import (
     LabeledGraph,
     Rso,
     _SwapState,
+    _adjacency,
     _edges_by_class_pair,
     _exchange,
 )
@@ -84,10 +85,7 @@ def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
     Records follow the (p, q, r, s) convention: remove p-q, r-s; add p-s, r-q.
     Returns (records, canonical edge set as sorted pairs).
     """
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(vertices, edges)
 
     def havel_hakimi(active):
         while len(active) > 1:
@@ -120,11 +118,7 @@ def _canonize_bipartite(edges, lefts, rights) -> Tuple[List[Tuple], frozenset]:
     Records are (l1, r1, l2, r2): remove l1-r1, l2-r2; add l1-r2, l2-r1.
     Returns (records, canonical edge set as (l, r) pairs).
     """
-    adj = {l: set() for l in lefts}
-    adj.update({(r,): set() for r in rights})
-    for l, r in edges:
-        adj[l].add((r,))
-        adj[(r,)].add(l)
+    adj = _adjacency([*lefts, *((r,) for r in rights)], ((l, (r,)) for l, r in edges))
 
     def gale_ryser(active):
         live = {(r,): len(adj[(r,)]) for r in rights}  # edges toward pending lefts

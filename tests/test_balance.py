@@ -31,6 +31,7 @@ from jdmkit.oracle import enumerate_realizations
 class TestClassAverages:
     def test_pendant_values(self, pendant):
         avgs = class_averages(extract_jdm(pendant))
+        assert avgs.k == 3
         assert avgs.get(3, 1) == Fraction(3, 5)
         assert avgs.get(3, 3) == Fraction(12, 5)
         assert avgs.get(1, 3) == 1
@@ -230,10 +231,9 @@ class TestImbalanceCache:
         assert imbalance(pendant, 3) == 2
 
 
-def test_balance_command_builds_two_states(pendant, tmp_path, monkeypatch, capsys):
-    # One state for the before-report (every class's tally at once) and one
-    # for the balancing itself, which hands its tallies to the result for the
-    # after-report, whatever the number of classes.
+def test_balance_command_builds_one_state(pendant, tmp_path, monkeypatch, capsys):
+    # The balancing itself builds the only state; both reports recount each
+    # class from the graph, whatever the number of classes.
     calls = Counter()
     init = _SwapState.__init__
 
@@ -246,4 +246,4 @@ def test_balance_command_builds_two_states(pendant, tmp_path, monkeypatch, capsy
     save_graph(pendant, path)
     assert run(["balance", path, "--out", str(tmp_path / "h.txt")]) == 0
     assert "imbalance_before" in capsys.readouterr().out
-    assert calls["state"] == 2
+    assert calls["state"] == 1

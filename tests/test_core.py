@@ -37,8 +37,9 @@ class TestJdm:
             j.entry(1, 3)
 
     def test_rejects_non_integer_entries(self):
-        with pytest.raises(GraphError, match="entry"):
-            Jdm([[0, 1.5], [1.5, 0]])
+        for rows in ([[0, 1.5], [1.5, 0]], [[None]], [["a"]]):
+            with pytest.raises(GraphError, match="entry"):
+                Jdm(rows)
 
     def test_rejects_non_square(self):
         with pytest.raises(GraphError, match="square"):

@@ -244,6 +244,11 @@ class TestChainRunner:
         for match in ((0, 0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6)):
             with pytest.raises(GraphError, match="exactly two points"):
                 ChainRunner(model, Configuration(model=model, match=(match,)), "a", random.Random(0))
+        runner = ChainRunner(model, start, "a", random.Random(0))
+        for k in (2.5, "3"):
+            with pytest.raises(GraphError, match="cannot advance by"):
+                runner.advance(k)
+        assert runner.steps == 0
 
     def test_bookkeeping_matches_recomputation(self):
         j = Jdm([[0, 2], [2, 2]])
@@ -254,7 +259,7 @@ class TestChainRunner:
             runner.step()
             if step % 20 == 0:
                 fresh = to_multigraph(runner.configuration())
-                assert runner.multigraph().pair_counts == fresh.pair_counts
+                assert runner.pair_counts == fresh.pair_counts
                 assert runner.is_simple() == fresh.is_simple
                 assert runner.fiber_key() == fresh.fiber_key()
         assert runner.steps == 400
@@ -522,6 +527,11 @@ class TestAutocorrelation:
     def test_series_must_exceed_the_lag(self):
         with pytest.raises(GraphError, match="lag"):
             autocorrelation([1.0, 2.0], max_lag=2)
+
+    @pytest.mark.parametrize("max_lag", [-1, 1.5, "2"])
+    def test_max_lag_must_be_a_non_negative_integer(self, max_lag):
+        with pytest.raises(GraphError, match="non-negative integer"):
+            autocorrelation([1.0, 2.0, 3.0, 4.0], max_lag=max_lag)
 
     def test_matches_exact_arithmetic(self):
         rng = random.Random(11)
