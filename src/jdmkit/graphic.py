@@ -198,6 +198,11 @@ def _shift(nbrs: List[set], x: int, y: int, z: int) -> None:
     nbrs[x].add(z)
 
 
+def _recount(degs: List[int], classes: List[int]) -> int:
+    """psi of a workspace, summed over all positions."""
+    return sum(map(abs, map(sub, degs, classes)))
+
+
 def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
     """Take `steps` descent steps, each shifting one edge from a surplus
     vertex to a deficient one so that psi drops by exactly 2.
@@ -214,10 +219,19 @@ def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
     follow label order) its class, degree and neighbor set.  No step makes a
     vertex newly deficient or newly surplus (x gains one up to at most its
     class, y loses one down to at least its class, z keeps its degree), so
-    the scan for x and each class's scan for y only move forward.  After
-    every step the three touched degrees are read back from their neighbor
-    sets and psi is recounted in full over all degrees.  The result is one
-    graph, rewired from the state's by the net edge change.
+    the scan for x and each class's scan for y only move forward.
+
+    Every step is checked to drop psi by exactly 2.  psi is the sum of
+    |degree - class| over all positions, and a step writes degrees only at
+    x, y and z, three distinct positions (x is deficient and y in surplus,
+    z is not x by choice and not y as graphs have no loops).  So after each
+    step the three touched degrees are read back from their neighbor sets,
+    and psi after the step is psi before it, less the three terms before
+    the move, plus the three terms after it: the full recount's value, in
+    O(1).  psi is recounted in full over all degrees twice per batch, on
+    the fresh workspace against the state's psi and after the last step
+    against the running psi.  The result is one graph, rewired from the
+    state's by the net edge change.
     """
     g = s.graph
     psi = s.psi
@@ -240,6 +254,8 @@ def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
     for i, c in enumerate(classes):
         members.setdefault(c, []).append(i)
     next_y = dict.fromkeys(members, 0)  # class -> index of its scan in members
+    if _recount(degs, classes) != psi:
+        raise GraphError("the descent workspace's psi disagrees with the state's")
     n, x = len(verts), 0
     for _ in range(steps):
         while x < n and degs[x] >= classes[x]:
@@ -262,13 +278,18 @@ def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
         z = min(targets, default=None)
         if z is None:
             raise GraphError("no shift target next to the surplus vertex")
+        cz = classes[z]
+        before = abs(degs[x] - cx) + abs(degs[y] - cx) + abs(degs[z] - cz)
         _shift(nbrs, x, y, z)
-        for v in (x, y, z):
-            degs[v] = len(nbrs[v])
-        after = sum(map(abs, map(sub, degs, classes)))
+        dx = degs[x] = len(nbrs[x])
+        dy = degs[y] = len(nbrs[y])
+        dz = degs[z] = len(nbrs[z])
+        after = psi - before + abs(dx - cx) + abs(dy - cx) + abs(dz - cz)
         if after != psi - 2:
             raise GraphError("descent step must drop psi by exactly 2")
         psi = after
+    if _recount(degs, classes) != psi:
+        raise GraphError("psi recounted after the descent disagrees with its running value")
     edges = g._edges
     now = {(verts[u], verts[w]) for u, ns in enumerate(nbrs) for w in ns if u < w}
     return CandidateState._of(s.jdm, g.rewire(edges - now, now - edges))

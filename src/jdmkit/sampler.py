@@ -18,7 +18,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     GraphError,

@@ -48,3 +48,43 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def imported_names(tree):
+    """(name, line) for every name an import binds; star imports and
+    __future__ imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if alias.name != "*":
+                    yield (alias.asname or alias.name).partition(".")[0], node.lineno
+
+
+def used_names(tree):
+    """Every name read as a Name node or listed as a string in __all__."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    return used
+
+
+def test_package_has_no_unused_imports():
+    # A name imported but never read is dead code; __init__.py's names are
+    # read through its __all__.
+    found = []
+    for path in sorted(pathlib.Path(jdmkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = used_names(tree)
+        found += [
+            f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used
+        ]
+    assert found == []

@@ -191,7 +191,7 @@ def recounted(g):
     }
 
 
-class TestImbalanceCache:
+class TestImbalanceRecount:
     @pytest.mark.parametrize(
         "graphs",
         [

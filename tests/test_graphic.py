@@ -321,6 +321,44 @@ class TestDescentCost:
         out = optimized_stdout(script)
         assert out == "GraphError: descent step must drop psi by exactly 2\n"
 
+    def test_psi_check_holds_mid_batch_in_optimized_mode(self, optimized_stdout):
+        # The descent of this matrix takes 5 steps in one batch.  Only its
+        # 3rd edge move adds x-z but keeps y-z, and the check must refuse
+        # that step, not a later one or the batch's end.
+        script = textwrap.dedent(
+            """
+            import sys
+            from jdmkit import graphic
+            from jdmkit.core import GraphError, Jdm
+
+            shift, calls = graphic._shift, []
+
+            def third_adds_only(nbrs, x, y, z):
+                calls.append((x, y, z))
+                if len(calls) == 3:
+                    nbrs[x].add(z)
+                    nbrs[z].add(x)
+                else:
+                    shift(nbrs, x, y, z)
+
+            assert sys.flags.optimize
+            j = Jdm([[0, 0, 3], [0, 0, 0], [3, 0, 6]])
+            print("steps:", graphic.initial_candidate(j).psi // 2)
+            graphic._shift = third_adds_only
+            try:
+                g = graphic.construct_realization(j)
+            except GraphError as exc:
+                print("GraphError:", exc)
+            else:
+                print("returned", g)
+            print("shifts:", len(calls))
+            """
+        )
+        out = optimized_stdout(script)
+        assert out == (
+            "steps: 5\nGraphError: descent step must drop psi by exactly 2\nshifts: 3\n"
+        )
+
     def test_final_rewire_is_checked_in_optimized_mode(self, optimized_stdout):
         # A final rewire that adds the new edges but keeps the old ones
         # lands off a realization, which the landing check refuses.
