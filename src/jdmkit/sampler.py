@@ -198,11 +198,18 @@ class ChainRunner:
 
     Randomness contract per step: one randrange(2) draw; if it says move, one
     randrange(#pairs) draw, and one randrange(component size - 1) draw when
-    that component has more than one pair.  The values are randrange's.  For
-    a generator whose type uses random.Random's own randrange they are drawn
-    through its _randbelow, which that randrange calls for every bound of 1
-    or more; any other generator (one overriding randrange, or a duck-typed
-    one) is asked through its randrange.
+    that component has more than one pair.  The values, and the words they
+    take from the generator, are randrange's.  How a draw below n is made
+    depends on the generator's type:
+    - one keeping random.Random's randrange and _randbelow_with_getrandbits
+      (random.Random, and any subclass that overrides neither _randbelow nor
+      random without getrandbits): getrandbits(n.bit_length()), retried while the value
+      is n or more, which is that _randbelow written out in the loop;
+    - one keeping that randrange with another _randbelow, or any such type
+      on an interpreter without _randbelow_with_getrandbits: its
+      _randbelow, which that randrange calls for every bound of 1 or more;
+    - any other (one overriding randrange, or a duck-typed one): its
+      randrange.
 
     advance(k) runs k steps in one loop and step() is advance(1).  A batch
     makes the same draws in the same order as k single steps, and leaves
@@ -255,9 +262,15 @@ class ChainRunner:
                     firsts.append(starts[ci] + p)
                     seconds.append(starts[cj] + q)
         self._labels = (verts, firsts, seconds)
+        # The bounds of a step's draws after the first: the first pair among
+        # all pairs, the second among the other pairs of its component.  A
+        # draw through getrandbits takes each bound's bit length instead.
+        total, others = starts[-1], [size - 1 for size in sizes]
+        bounds = (total, others)
+        words = (total.bit_length(), [n.bit_length() for n in others])
         # The fixed tables advance() reads, in one attribute so that binding
         # them costs a single load per call.
-        self._tables = (kind == "b", starts, starts[-1], len(firsts), sizes, mates, verts)
+        self._tables = (kind == "b", starts, len(firsts), mates, verts, bounds, words)
         self._recount()
         if kind == "b" and self.nonsimple:
             raise GraphError("chain b needs a simple starting configuration")
@@ -270,19 +283,28 @@ class ChainRunner:
 
     def advance(self, k: int) -> None:
         """Run k steps of the chain in one loop."""
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise GraphError(f"cannot advance by {k!r} steps")
-        reject_nonsimple, starts, total, edges, sizes, mates, verts = self._tables
+        reject_nonsimple, starts, edges, mates, verts, bounds, words = self._tables
+        total, others = bounds
         # Chain b reads the multigraph on every proposal.  Chain a never reads
         # it while stepping, and a recount is one pass over the edge labels:
         # a batch with at least one step per label only swaps points and
         # recounts once at the end, which costs less than per-move updates.
         track = reject_nonsimple or k < edges
         rng = self.rng
-        # Random.randrange(n) returns self._randbelow(n) for every int n >= 1.
-        randrange = (
-            rng._randbelow if type(rng).randrange is random.Random.randrange else rng.randrange
-        )
+        # A draw below n is draw(K), retried while the value is n or more.
+        # Random.randrange(n) returns self._randbelow(n) for every int n >= 1,
+        # and _randbelow_with_getrandbits(n) is exactly that loop with
+        # draw = getrandbits and K = n.bit_length(); with K = n the retry never
+        # fires.  K = 2 for the first draw either way.
+        rng_type = type(rng)
+        if rng_type.randrange is not random.Random.randrange:
+            draw, (wide, narrow) = rng.randrange, bounds
+        elif rng_type._randbelow is getattr(random.Random, "_randbelow_with_getrandbits", None):
+            draw, (wide, narrow) = rng.getrandbits, words
+        else:
+            draw, (wide, narrow) = rng._randbelow, bounds
         perms, invs, counts = self.perms, self.inv, self.pair_counts
         nonsimple = self.nonsimple
         done = holds = rejects = 0
@@ -291,17 +313,24 @@ class ChainRunner:
         try:
             while done < k:
                 done += 1
-                if randrange(2) == 0 or not total:
+                r = draw(2)
+                while r >= 2:
+                    r = draw(2)
+                if r == 0 or not total:
                     holds += 1
                     continue
-                g = randrange(total)
+                g = draw(wide)
+                while g >= total:
+                    g = draw(wide)
                 ci = bisect_right(starts, g) - 1
                 mi1 = g - starts[ci]
-                size = sizes[ci]
-                if size == 1:
+                other = others[ci]
+                if not other:
                     holds += 1
                     continue
-                mi2 = randrange(size - 1)
+                mi2 = draw(narrow[ci])
+                while mi2 >= other:
+                    mi2 = draw(narrow[ci])
                 if mi2 >= mi1:
                     mi2 += 1
                 perm, inv = perms[ci], invs[ci]
@@ -454,7 +483,7 @@ def autocorrelation(series, max_lag: int) -> AutocorrelationResult:
     (initial-positive-sequence truncation).  A constant series is defined to
     have zero correlation beyond lag zero.  Sums are correctly rounded (fsum).
     """
-    if not isinstance(max_lag, int) or max_lag < 0:
+    if not isinstance(max_lag, int) or isinstance(max_lag, bool) or max_lag < 0:
         raise GraphError(f"max_lag must be a non-negative integer, got {max_lag!r}")
     x = [float(v) for v in series]
     n = len(x)

@@ -1,12 +1,14 @@
 """Command flows: exit codes, JSON determinism, and file side effects."""
 
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from jdmkit.cli import run
-from jdmkit.core import Jdm, apply_rso, extract_jdm
+from jdmkit.core import Jdm, LabeledGraph, apply_rso, extract_jdm
 from jdmkit.fileio import (
     dumps_graph,
     dumps_jdm,
@@ -495,6 +497,51 @@ class TestSample:
         )
         assert code == 1
         assert "matrices differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, stdout_sha, last_sha",
+        [
+            pytest.param(
+                ["--chain", "a", "--steps", "600", "--thin", "3"],
+                "386e39a1cf0685ec4bd7e11a60e56c6c17e0a5df40b88bd74b95d2ff54f67348",
+                None,
+                id="a-thin3",
+            ),
+            # --thin 400 is at least the edge count m (210, checked in the
+            # test), so chain a advances in batches that recount the multigraph.
+            pytest.param(
+                ["--chain", "a", "--steps", "4000", "--thin", "400"],
+                "a4c8ad62caa49cb7faef3bbce427e02302a3be0dd8a4756c4545fd3769c499c5",
+                None,
+                id="a-thin400",
+            ),
+            pytest.param(
+                ["--chain", "b", "--steps", "600", "--thin", "1",
+                 "--start", "start.txt", "--save-last", "last.txt"],
+                "34f13addef3570ed9005cd587203c3b7a7915152f7881677829162336ac449ae",
+                "9d3c703ce562cc6850d626051f16c637dfb326a95a9190d451feefb40bc490a2",
+                id="b-start-thin1",
+            ),
+        ],
+    )
+    def test_golden_bytes(self, argv, stdout_sha, last_sha, tmp_path, monkeypatch, capsys):
+        # sha256 pins of the report and the saved last state on a seeded
+        # G(60, 8/60).  A change to the values drawn, to the words they take
+        # from the generator or to the report's bytes shows here.
+        rng = random.Random(60)
+        g = LabeledGraph.from_edges(
+            (u, v) for u, v in itertools.combinations(range(60), 2) if rng.random() < 8 / 60
+        )
+        assert g.m <= 400
+        monkeypatch.chdir(tmp_path)
+        save_jdm(extract_jdm(g), "m.txt")
+        save_graph(g, "start.txt")
+        assert run(["sample", "m.txt", *argv, "--seed", "11"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == stdout_sha
+        if last_sha is not None:
+            with open("last.txt", "rb") as f:
+                assert hashlib.sha256(f.read()).hexdigest() == last_sha
 
 
 class TestRepeatedRuns:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -245,7 +246,7 @@ class TestChainRunner:
             with pytest.raises(GraphError, match="exactly two points"):
                 ChainRunner(model, Configuration(model=model, match=(match,)), "a", random.Random(0))
         runner = ChainRunner(model, start, "a", random.Random(0))
-        for k in (2.5, "3"):
+        for k in (2.5, "3", True):
             with pytest.raises(GraphError, match="cannot advance by"):
                 runner.advance(k)
         assert runner.steps == 0
@@ -388,6 +389,28 @@ class CountingRandom(random.Random):
         return super().randrange(*args)
 
 
+class BelowRandom(random.Random):
+    """A generator that overrides only _randbelow, counting the calls it gets."""
+
+    calls = 0
+
+    def _randbelow(self, n):
+        self.calls += 1
+        return super()._randbelow(n)
+
+
+class WidthLog(random.Random):
+    """A generator that logs the width k of every getrandbits(k) call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
 # Class 2's diagonal pair and the cross pair (1, 2) give loops, parallel edges
 # and chain-b rejections; a triangle with a pendant vertex has a class-1
 # component of one pair; the edgeless matrix has no pair at all.
@@ -459,19 +482,76 @@ class TestAdvance:
             assert runner.pair_counts == to_multigraph(runner.configuration()).pair_counts
             assert runner.nonsimple == 2
 
-    @pytest.mark.parametrize("kind", ["a", "b"])
-    def test_a_generator_overriding_randrange_gets_every_draw(self, kind):
+    def _check_every_draw_counted(self, rng_type, kind):
         j = Jdm([[0, 2], [2, 2]])
         model, start = self._start(j, kind)
-        batched = ChainRunner(model, start, kind, CountingRandom(6))
+        batched = ChainRunner(model, start, kind, rng_type(6))
         single = ChainRunner(model, start, kind, random.Random(6))
         ref_perms = [list(p) for p in start.match]
-        ref_rng = CountingRandom(6)
+        ref_rng = rng_type(6)
         ref_counts = {"hold": 0, "reject": 0, "move": 0}
         # The matrix has 4 edges, so the batches fall on both sides of the rule.
         for k in (1, 3, 4, 9, 30):
             _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
         assert batched.rng.calls == ref_rng.calls > batched.steps
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_a_generator_overriding_randrange_gets_every_draw(self, kind):
+        self._check_every_draw_counted(CountingRandom, kind)
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_a_generator_overriding_randbelow_gets_every_draw(self, kind):
+        self._check_every_draw_counted(BelowRandom, kind)
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_getrandbits_widths_match_randrange(self, kind):
+        # Degrees 7, 5, 3, 3, 3, 2, 1, 1, 1: the components hold 3, 2, 9, 5
+        # and 7 pairs, so the second draw's bounds 2, 1, 8, 4 and 6 include
+        # powers of two, whose bit length exceeds that of the bound less one.
+        g = LabeledGraph.from_edges(
+            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+             (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 8)]
+        )
+        model, start = self._start(extract_jdm(g), kind)
+        assert {1, 2, 4, 8} <= {size - 1 for size in model.component_sizes()}
+        batched = ChainRunner(model, start, kind, WidthLog(9))
+        single = ChainRunner(model, start, kind, random.Random(9))
+        ref_perms = [list(p) for p in start.match]
+        ref_rng = WidthLog(9)
+        ref_counts = {"hold": 0, "reject": 0, "move": 0}
+        # The graph has 13 edges: batches on both sides of chain a's rule.
+        for k in (1, 5, 13, 40, 100):
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+        assert batched.rng.widths == ref_rng.widths
+        # 2 bits for the hold draw and bound 2, 5 for the 26 pairs, 1, 3 and
+        # 4 for the bounds 1, 4 (and 6) and 8.
+        assert set(batched.rng.widths) == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_draws_go_through_randbelow_without_the_getrandbits_loop(self, hidden, monkeypatch):
+        # An interpreter whose random.Random has no _randbelow_with_getrandbits
+        # gets its draws through _randbelow; with it, advance reads getrandbits
+        # itself.  Either way the values and the state match randrange's.
+        model, start = self._start(Jdm([[0, 2], [2, 2]]), "a")
+        callers = []
+        getrandbits = random.Random.getrandbits
+
+        def logged(rng, k):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return getrandbits(rng, k)
+
+        monkeypatch.setattr(random.Random, "getrandbits", logged)
+        if hidden:
+            monkeypatch.delattr(random.Random, "_randbelow_with_getrandbits")
+        runner = ChainRunner(model, start, "a", random.Random(3))
+        runner.advance(50)
+        assert set(callers) == {"_randbelow_with_getrandbits" if hidden else "advance"}
+        ref_perms = [list(p) for p in start.match]
+        ref_rng = random.Random(3)
+        for _ in range(50):
+            _reference_step(model, ref_perms, "a", ref_rng)
+        assert runner.perms == ref_perms
+        assert runner.rng.getstate() == ref_rng.getstate()
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -528,7 +608,7 @@ class TestAutocorrelation:
         with pytest.raises(GraphError, match="lag"):
             autocorrelation([1.0, 2.0], max_lag=2)
 
-    @pytest.mark.parametrize("max_lag", [-1, 1.5, "2"])
+    @pytest.mark.parametrize("max_lag", [-1, 1.5, "2", True])
     def test_max_lag_must_be_a_non_negative_integer(self, max_lag):
         with pytest.raises(GraphError, match="non-negative integer"):
             autocorrelation([1.0, 2.0, 3.0, 4.0], max_lag=max_lag)
