@@ -201,15 +201,14 @@ class ChainRunner:
     that component has more than one pair.  The values, and the words they
     take from the generator, are randrange's.  How a draw below n is made
     depends on the generator's type:
-    - one keeping random.Random's randrange and _randbelow_with_getrandbits
-      (random.Random, and any subclass that overrides neither _randbelow nor
-      random without getrandbits): getrandbits(n.bit_length()), retried while the value
-      is n or more, which is that _randbelow written out in the loop;
-    - one keeping that randrange with another _randbelow, or any such type
-      on an interpreter without _randbelow_with_getrandbits: its
-      _randbelow, which that randrange calls for every bound of 1 or more;
-    - any other (one overriding randrange, or a duck-typed one): its
-      randrange.
+    - random.Random, or a subclass that keeps its randrange and whose
+      _randbelow is still _randbelow_with_getrandbits (it overrides neither
+      _randbelow nor random() alone): getrandbits(n.bit_length()), retried
+      while the value is n or more, which is that _randbelow written out in
+      the loop;
+    - any other (one overriding randrange or _randbelow, a duck-typed one,
+      or any generator on an interpreter without
+      _randbelow_with_getrandbits): its randrange.
 
     advance(k) runs k steps in one loop and step() is advance(1).  A batch
     makes the same draws in the same order as k single steps, and leaves
@@ -296,15 +295,15 @@ class ChainRunner:
         # A draw below n is draw(K), retried while the value is n or more.
         # Random.randrange(n) returns self._randbelow(n) for every int n >= 1,
         # and _randbelow_with_getrandbits(n) is exactly that loop with
-        # draw = getrandbits and K = n.bit_length(); with K = n the retry never
-        # fires.  K = 2 for the first draw either way.
+        # draw = getrandbits and K = n.bit_length(); with draw = randrange and
+        # K = n the retry never fires.  K = 2 for the first draw either way.
         rng_type = type(rng)
-        if rng_type.randrange is not random.Random.randrange:
-            draw, (wide, narrow) = rng.randrange, bounds
-        elif rng_type._randbelow is getattr(random.Random, "_randbelow_with_getrandbits", None):
+        if rng_type.randrange is random.Random.randrange and rng_type._randbelow is getattr(
+            random.Random, "_randbelow_with_getrandbits", None
+        ):
             draw, (wide, narrow) = rng.getrandbits, words
         else:
-            draw, (wide, narrow) = rng._randbelow, bounds
+            draw, (wide, narrow) = rng.randrange, bounds
         perms, invs, counts = self.perms, self.inv, self.pair_counts
         nonsimple = self.nonsimple
         done = holds = rejects = 0

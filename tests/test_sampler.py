@@ -530,8 +530,8 @@ class TestAdvance:
     @pytest.mark.parametrize("hidden", [False, True])
     def test_draws_go_through_randbelow_without_the_getrandbits_loop(self, hidden, monkeypatch):
         # An interpreter whose random.Random has no _randbelow_with_getrandbits
-        # gets its draws through _randbelow; with it, advance reads getrandbits
-        # itself.  Either way the values and the state match randrange's.
+        # gets its draws through randrange, and so through _randbelow; with
+        # it, advance reads getrandbits itself.  Either way the values and the state match randrange's.
         model, start = self._start(Jdm([[0, 2], [2, 2]]), "a")
         callers = []
         getrandbits = random.Random.getrandbits
