@@ -359,11 +359,7 @@ def vertex_counts(j: Jdm) -> Tuple[Fraction, ...]:
     total J_ii (twice, once per endpoint) plus the off-diagonal row, so
     n_i = (J_ii + sum_l J_il) / i.  Non-integers are data for the caller.
     """
-    counts = []
-    for i in range(1, j.k + 1):
-        total = j.entry(i, i) + sum(j.entry(i, l) for l in range(1, j.k + 1))
-        counts.append(Fraction(total, i))
-    return tuple(counts)
+    return tuple(Fraction(row[i] + sum(row), i + 1) for i, row in enumerate(j.rows))
 
 
 def _average_table(j: Jdm) -> Dict[Tuple[int, int], Tuple[int, int]]:

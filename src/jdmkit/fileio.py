@@ -75,15 +75,20 @@ def loads_graph(text: str) -> LabeledGraph:
     n, m = _ints(lines[0], 2, 1)
     if n < 0 or m < 0:
         raise FileFormatError("vertex and edge counts must be non-negative", 1)
+    # One split per line skips blank lines, counts edge lines and parses them.
+    body = [(idx, p) for idx, ln in enumerate(lines[1:], start=2) if (p := ln.split())]
+    if len(body) != m:
+        raise FileFormatError(f"expected {m} edge lines", len(lines))
     edges = []
     seen = set()
-    verts = set()
-    if len([ln for ln in lines[1:] if ln.strip()]) != m:
-        raise FileFormatError(f"expected {m} edge lines", len(lines))
-    for idx, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        u, v = _ints(ln, 2, idx)
+    for idx, parts in body:
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            ln = lines[idx - 1]
+            if len(parts) != 2:
+                raise FileFormatError(f"expected 2 integers, got {ln!r}", idx) from None
+            raise FileFormatError(f"expected integers, got {ln!r}", idx) from None
         if u == v:
             raise FileFormatError(f"loop {u} {v} not allowed", idx)
         if u < 0 or v < 0:
@@ -92,13 +97,11 @@ def loads_graph(text: str) -> LabeledGraph:
         if key in seen:
             raise FileFormatError(f"duplicate edge {u} {v}", idx)
         seen.add(key)
-        verts.update(key)
         edges.append(key)
-    if len(verts) != n:
-        raise FileFormatError(
-            f"header says {n} vertices but edges name {len(verts)}", 1
-        )
-    return LabeledGraph.from_edges(edges)
+    g = LabeledGraph.from_edges(edges)
+    if g.n != n:
+        raise FileFormatError(f"header says {n} vertices but edges name {g.n}", 1)
+    return g
 
 
 def save_graph(g: LabeledGraph, path: str) -> None:

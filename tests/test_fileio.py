@@ -73,6 +73,15 @@ class TestGraphFormat:
             ("2 1\n-1 2\n", "labels must be non-negative", 2),
             ("2 2\n1 2\n2 1\n", "duplicate edge 2 1", 3),
             ("3 1\n1 2\n", "header says 3 vertices but edges name 2", 1),
+            ("3 1\n1 2 3\n", "expected 2 integers, got '1 2 3'", 2),
+            ("3 1\nx 2 3\n", "expected 2 integers, got 'x 2 3'", 2),
+            ("2 1\n1 x\n", "expected integers, got '1 x'", 2),
+            ("2 1\n1\t2\t3\n", "expected 2 integers, got '1\\t2\\t3'", 2),
+            ("2 1\n1 y  \n", "expected integers, got '1 y  '", 2),
+            ("3 2\n1 2\n\n\n2 2\n", "loop 2 2 not allowed", 5),
+            ("3 2\n1 2\n  \n1 3 4\n", "expected 2 integers, got '1 3 4'", 4),
+            ("3 1\n0 1\n\n1 2\n", "expected 1 edge lines", 4),
+            ("2 2\n1 x\n", "expected 2 edge lines", 2),
         ],
     )
     def test_load_diagnostics(self, text, message, line):
@@ -81,6 +90,12 @@ class TestGraphFormat:
         assert message in str(err.value)
         assert err.value.line == line
         assert str(err.value).startswith(f"line {line}:")
+
+    @pytest.mark.parametrize(
+        "text", ["3 2\n0\t1\n1 2  \n", "3 2\n\n0 1\n\t\n1 2\n\n", " 3 2 \n 1  2\n0 1\n"]
+    )
+    def test_edge_lines_split_on_any_whitespace(self, text):
+        assert loads_graph(text) == LabeledGraph.from_edges([(0, 1), (1, 2)])
 
 
 class TestJdmFormat:

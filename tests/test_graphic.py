@@ -1,6 +1,7 @@
 """Realizability checks and descent-based construction."""
 
 import dataclasses
+import itertools
 import random
 import textwrap
 from collections import Counter
@@ -56,6 +57,105 @@ class TestCheckGraphical:
 
     def test_zero_matrix_is_graphical(self):
         assert check_graphical(Jdm([[0]])).verdict
+
+
+def fraction_vertex_counts(j):
+    """vertex_counts as first written: every entry read through Jdm.entry."""
+    return tuple(
+        Fraction(j.entry(i, i) + sum(j.entry(i, l) for l in range(1, j.k + 1)), i)
+        for i in range(1, j.k + 1)
+    )
+
+
+def fraction_check(j):
+    """check_graphical as first written: every count and capacity a Fraction."""
+    counts = fraction_vertex_counts(j)
+    k = j.k
+    violations = []
+    integral_ok = tuple(c.denominator == 1 for c in counts)
+    for i in range(1, k + 1):
+        if not integral_ok[i - 1]:
+            violations.append(graphic.Violation(
+                "integrality", (i,), f"class {i} would need {counts[i - 1]} vertices"))
+    within_ok = []
+    for i in range(1, k + 1):
+        n_i = counts[i - 1]
+        cap = n_i * (n_i - 1) / 2
+        ok = j.entry(i, i) <= cap
+        within_ok.append(ok)
+        if not ok:
+            violations.append(graphic.Violation(
+                "within-class-capacity", (i,),
+                f"class {i} holds at most {cap} edges, needs {j.entry(i, i)}"))
+    cross_ok = [[True] * k for _ in range(k)]
+    for i in range(1, k + 1):
+        for l in range(i + 1, k + 1):
+            ok = j.entry(i, l) <= counts[i - 1] * counts[l - 1]
+            cross_ok[i - 1][l - 1] = cross_ok[l - 1][i - 1] = ok
+            if not ok:
+                violations.append(graphic.Violation(
+                    "cross-class-capacity", (i, l),
+                    f"classes {i},{l} span at most "
+                    f"{counts[i - 1] * counts[l - 1]} edges, need {j.entry(i, l)}"))
+    return graphic.GraphicalityReport(
+        verdict=not violations,
+        counts=counts,
+        integral_ok=integral_ok,
+        within_ok=tuple(within_ok),
+        cross_ok=tuple(tuple(r) for r in cross_ok),
+        violations=tuple(violations),
+    )
+
+
+def small_symmetric_matrices(k, max_entry):
+    cells = [(i, l) for i in range(k) for l in range(i, k)]
+    for values in itertools.product(range(max_entry + 1), repeat=len(cells)):
+        rows = [[0] * k for _ in range(k)]
+        for (i, l), val in zip(cells, values):
+            rows[i][l] = rows[l][i] = val
+        yield Jdm(rows)
+
+
+class TestCheckGraphicalArithmetic:
+    """check_graphical's int arithmetic against the all-Fraction original."""
+
+    def assert_same_reports(self, matrices):
+        kinds = Counter()
+        for j in matrices:
+            report, want = check_graphical(j), fraction_check(j)
+            assert report == want, j
+            assert vertex_counts(j) == fraction_vertex_counts(j)
+            assert all(type(c) is Fraction for c in report.counts)
+            kinds.update(v.condition for v in report.violations)
+            if all(report.integral_ok):
+                kinds.update(f"integral {v.condition}" for v in report.violations)
+            kinds["graphical" if report.verdict else "not graphical"] += 1
+        return kinds
+
+    def test_every_matrix_on_at_most_seven_vertices(self):
+        nx = pytest.importorskip("networkx")
+        # The atlas lists every graph on at most 7 vertices up to isomorphism.
+        atlas = nx.graph_atlas_g()
+        matrices = {extract_jdm(LabeledGraph.from_edges(g.edges)) for g in atlas}
+        assert len(matrices) == 768  # the empty matrix and 767 of graphs with edges
+        kinds = self.assert_same_reports(matrices)
+        assert kinds == {"graphical": len(matrices)}
+
+    def test_non_integral_and_over_capacity_matrices(self):
+        rng = random.Random(31)
+        matrices = [j for k in (1, 2, 3) for j in small_symmetric_matrices(k, 3)]
+        for _ in range(300):
+            k = rng.randrange(4, 21)
+            rows = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for l in range(i, k):
+                    rows[i][l] = rows[l][i] = rng.choice((0, 0, 1, 2, 5, 40))
+            matrices.append(Jdm(rows))
+        kinds = self.assert_same_reports(matrices)
+        assert min(kinds[c] for c in (
+            "integrality", "within-class-capacity", "cross-class-capacity",
+            "integral within-class-capacity", "integral cross-class-capacity",
+            "graphical", "not graphical")) > 0
 
 
 class TestDescent:
@@ -261,6 +361,113 @@ class TestBatchDescent:
             steps = state.psi // 2 + 1
         with pytest.raises(GraphError, match="steps must be an integer from 1 to psi / 2"):
             psi_descent_step(state, steps)
+
+
+def set_difference_descent(s, steps):
+    """Reference workspace descent that takes z by set difference, as
+    min(nbrs[y] - nbrs[x] - {x}).  Returns the graph, psi and the (x, y, z)
+    positions of every step."""
+    g = s.graph
+    verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    classes = [g.class_of(v) for v in verts]
+    nbrs = [{pos[w] for w in g.neighbors(v)} for v in verts]
+    members = {}
+    for i, c in enumerate(classes):
+        members.setdefault(c, []).append(i)
+    next_y = dict.fromkeys(members, 0)
+    x, moves = 0, []
+    for _ in range(steps):
+        while len(nbrs[x]) >= classes[x]:
+            x += 1
+        ys, i = members[classes[x]], next_y[classes[x]]
+        while len(nbrs[ys[i]]) <= classes[x]:
+            i += 1
+        next_y[classes[x]], y = i, ys[i]
+        z = min(nbrs[y] - nbrs[x] - {x})
+        nbrs[y].remove(z)
+        nbrs[z].remove(y)
+        nbrs[z].add(x)
+        nbrs[x].add(z)
+        moves.append((x, y, z))
+    edges = [(verts[u], verts[w]) for u, ns in enumerate(nbrs) for w in ns if u < w]
+    out = LabeledGraph(edges, g.classes())
+    return out, reference_psi(out), moves
+
+
+def sparse_gnm(n, rng):
+    """G(n, 8/n) as 4(n - 1) distinct uniform pairs drawn by rejection, without
+    the list of all n^2 / 2 pairs."""
+    pairs = set()
+    while len(pairs) < 4 * (n - 1):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return LabeledGraph.from_edges(sorted(pairs))
+
+
+class TestSortedListDescent:
+    """The sorted-neighbour-list z search against the set-difference rule."""
+
+    def assert_same_descent(self, state, steps):
+        out = psi_descent_step(state, steps)
+        graph, psi, moves = set_difference_descent(state, steps)
+        assert out.graph == graph
+        assert out.psi == psi == state.psi - 2 * steps
+        return moves
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_sparse_random_matrices(self, n):
+        state = initial_candidate(extract_jdm(sparse_gnm(n, random.Random(n))))
+        half = state.psi // 2
+        for steps in (1, half // 3, half):
+            self.assert_same_descent(state, steps)
+        mid = psi_descent_step(state, half // 3)
+        self.assert_same_descent(mid, half - half // 3)
+
+    def test_lists_that_took_an_insertion_serve_as_y_again(self):
+        # A position's sorted list is built when it first serves as y.  When
+        # it then serves as another step's z, its list drops that step's y
+        # and takes its x, and a later step may read the list as y again.
+        # Hand-built states, whose labels do not follow class order, do so;
+        # both rules must still pick the same witnesses there.
+        rng = random.Random(37)
+        hits = 0
+        while hits < 10:
+            g = random_realization(rng, rng.randrange(6, 41))
+            if not g.m:
+                continue
+            state = CandidateState(extract_jdm(g), scrambled(g, rng, g.m))
+            if not state.psi:
+                continue
+            moves = self.assert_same_descent(state, state.psi // 2)
+            listed, changed = set(), set()
+            for x, y, z in moves:
+                if y in changed:
+                    hits += 1
+                    break
+                if z in listed:
+                    changed.add(z)
+                listed.add(y)
+
+    def test_list_read_after_a_drop_and_an_insertion(self):
+        # Vertex 6 serves as y of two steps, then as z of a class-1 step,
+        # where its list drops 3 and takes 4, then as y again: 4 is now the
+        # lowest shift target, and 3, no longer its neighbour, is none.
+        classes = {0: 3, 1: 2, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 8: 1, 10: 3}
+        edges = [(0, 5), (0, 6), (0, 10), (2, 6), (3, 6), (3, 10), (6, 8), (6, 10)]
+        j = Jdm([[0, 3, 1], [3, 0, 3], [1, 3, 1]])
+        state = CandidateState(j, LabeledGraph(edges, classes))
+        moves = self.assert_same_descent(state, state.psi // 2)
+        assert moves == [(1, 6, 0), (1, 6, 2), (4, 3, 6), (5, 6, 4)]
+
+    @pytest.mark.parametrize(
+        "n,fingerprint", [(1000, "7d4afbc04128df43"), (2000, "4102b60ac4219d4b")]
+    )
+    def test_constructed_fingerprints(self, n, fingerprint):
+        # Fingerprints of the graphs the set-difference z search builds.
+        g = construct_realization(extract_jdm(sparse_gnm(n, random.Random(7))))
+        assert g.fingerprint() == fingerprint
 
 
 class TestDescentCost:
