@@ -1,6 +1,9 @@
-"""Shared fixtures: small hand-checked graphs used across the suite, and
-subprocess runners for checks that need a fresh interpreter."""
+"""Shared fixtures: small hand-checked graphs used across the suite, matrix
+and graph generators shared by several tests, and subprocess runners for
+checks that need a fresh interpreter."""
 
+import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ import sys
 import pytest
 
 import jdmkit
-from jdmkit.core import LabeledGraph
+from jdmkit.core import Jdm, LabeledGraph
 
 
 @pytest.fixture
@@ -27,6 +30,33 @@ def python_run():
 def optimized_stdout(python_run):
     """Standard output of script run under python -O against this jdmkit."""
     return lambda script: python_run(["-O", "-c", script], check=True).stdout
+
+
+@pytest.fixture
+def symmetric_matrices():
+    """Every symmetric k x k matrix with entries 0..max_entry, as Jdm."""
+
+    def generate(k, max_entry):
+        cells = [(i, l) for i in range(k) for l in range(i, k)]
+        for values in itertools.product(range(max_entry + 1), repeat=len(cells)):
+            rows = [[0] * k for _ in range(k)]
+            for (i, l), val in zip(cells, values):
+                rows[i][l] = rows[l][i] = val
+            yield Jdm(rows)
+
+    return generate
+
+
+@pytest.fixture
+def sparse_gnm():
+    """tools/construct_scaling.py's sparse G(n, 8/n) generator, so that the
+    fingerprints the tests pin and the ones the tool prints come from one copy."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "construct_scaling.py")
+    spec = importlib.util.spec_from_file_location("construct_scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sparse_gnm
 
 
 @pytest.fixture

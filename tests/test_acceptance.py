@@ -45,15 +45,6 @@ def _report(n, ok, detail):
     assert ok, detail
 
 
-def _symmetric_matrices(k, max_entry):
-    cells = [(i, l) for i in range(k) for l in range(i, k)]
-    for values in itertools.product(range(max_entry + 1), repeat=len(cells)):
-        rows = [[0] * k for _ in range(k)]
-        for (i, l), val in zip(cells, values):
-            rows[i][l] = rows[l][i] = val
-        yield Jdm(rows)
-
-
 TRI_FIBER = (((0, 1), 1), ((0, 2), 1), ((1, 2), 1))
 LOOPS_FIBER = (((0, 0), 1), ((1, 1), 1), ((2, 2), 1))
 LOOP_DOUBLE_FIBERS = (
@@ -104,12 +95,12 @@ def test_criterion_2_two_regular_identities():
     )
 
 
-def test_criterion_3_verdicts_match_exhaustive_search():
+def test_criterion_3_verdicts_match_exhaustive_search(symmetric_matrices):
     t0 = time.perf_counter()
     checked = 0
     mismatches = 0
     for k in (1, 2, 3):
-        for j in _symmetric_matrices(k, 4):
+        for j in symmetric_matrices(k, 4):
             checked += 1
             verdict = check_graphical(j).verdict
             witness = enumerate_realizations(j, first_only=True, max_vertices=None)
@@ -125,12 +116,12 @@ def test_criterion_3_verdicts_match_exhaustive_search():
     )
 
 
-def test_criterion_4_construction_descends_within_half_psi():
+def test_criterion_4_construction_descends_within_half_psi(symmetric_matrices):
     t0 = time.perf_counter()
     built = 0
     failures = 0
     for k in (1, 2, 3):
-        for j in _symmetric_matrices(k, 4):
+        for j in symmetric_matrices(k, 4):
             if not check_graphical(j).verdict:
                 continue
             if sum(vertex_counts(j)) > 8:

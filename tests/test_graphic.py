@@ -1,7 +1,6 @@
 """Realizability checks and descent-based construction."""
 
 import dataclasses
-import itertools
 import random
 import textwrap
 from collections import Counter
@@ -107,43 +106,12 @@ def fraction_check(j):
     )
 
 
-def small_symmetric_matrices(k, max_entry):
-    cells = [(i, l) for i in range(k) for l in range(i, k)]
-    for values in itertools.product(range(max_entry + 1), repeat=len(cells)):
-        rows = [[0] * k for _ in range(k)]
-        for (i, l), val in zip(cells, values):
-            rows[i][l] = rows[l][i] = val
-        yield Jdm(rows)
-
-
 class TestCheckGraphicalArithmetic:
     """check_graphical's int arithmetic against the all-Fraction original."""
 
-    def assert_same_reports(self, matrices):
-        kinds = Counter()
-        for j in matrices:
-            report, want = check_graphical(j), fraction_check(j)
-            assert report == want, j
-            assert vertex_counts(j) == fraction_vertex_counts(j)
-            assert all(type(c) is Fraction for c in report.counts)
-            kinds.update(v.condition for v in report.violations)
-            if all(report.integral_ok):
-                kinds.update(f"integral {v.condition}" for v in report.violations)
-            kinds["graphical" if report.verdict else "not graphical"] += 1
-        return kinds
-
-    def test_every_matrix_on_at_most_seven_vertices(self):
-        nx = pytest.importorskip("networkx")
-        # The atlas lists every graph on at most 7 vertices up to isomorphism.
-        atlas = nx.graph_atlas_g()
-        matrices = {extract_jdm(LabeledGraph.from_edges(g.edges)) for g in atlas}
-        assert len(matrices) == 768  # the empty matrix and 767 of graphs with edges
-        kinds = self.assert_same_reports(matrices)
-        assert kinds == {"graphical": len(matrices)}
-
-    def test_non_integral_and_over_capacity_matrices(self):
+    def test_non_integral_and_over_capacity_matrices(self, symmetric_matrices):
         rng = random.Random(31)
-        matrices = [j for k in (1, 2, 3) for j in small_symmetric_matrices(k, 3)]
+        matrices = [j for k in (1, 2, 3) for j in symmetric_matrices(k, 4)]
         for _ in range(300):
             k = rng.randrange(4, 21)
             rows = [[0] * k for _ in range(k)]
@@ -151,7 +119,16 @@ class TestCheckGraphicalArithmetic:
                 for l in range(i, k):
                     rows[i][l] = rows[l][i] = rng.choice((0, 0, 1, 2, 5, 40))
             matrices.append(Jdm(rows))
-        kinds = self.assert_same_reports(matrices)
+        kinds = Counter()
+        for j in matrices:
+            report = check_graphical(j)
+            assert report == fraction_check(j), j
+            assert vertex_counts(j) == fraction_vertex_counts(j)
+            assert all(type(c) is Fraction for c in report.counts)
+            kinds.update(v.condition for v in report.violations)
+            if all(report.integral_ok):
+                kinds.update(f"integral {v.condition}" for v in report.violations)
+            kinds["graphical" if report.verdict else "not graphical"] += 1
         assert min(kinds[c] for c in (
             "integrality", "within-class-capacity", "cross-class-capacity",
             "integral within-class-capacity", "integral cross-class-capacity",
@@ -395,17 +372,6 @@ def set_difference_descent(s, steps):
     return out, reference_psi(out), moves
 
 
-def sparse_gnm(n, rng):
-    """G(n, 8/n) as 4(n - 1) distinct uniform pairs drawn by rejection, without
-    the list of all n^2 / 2 pairs."""
-    pairs = set()
-    while len(pairs) < 4 * (n - 1):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    return LabeledGraph.from_edges(sorted(pairs))
-
-
 class TestSortedListDescent:
     """The sorted-neighbour-list z search against the set-difference rule."""
 
@@ -417,7 +383,7 @@ class TestSortedListDescent:
         return moves
 
     @pytest.mark.parametrize("n", [200, 1000])
-    def test_sparse_random_matrices(self, n):
+    def test_sparse_random_matrices(self, n, sparse_gnm):
         state = initial_candidate(extract_jdm(sparse_gnm(n, random.Random(n))))
         half = state.psi // 2
         for steps in (1, half // 3, half):
@@ -464,7 +430,7 @@ class TestSortedListDescent:
     @pytest.mark.parametrize(
         "n,fingerprint", [(1000, "7d4afbc04128df43"), (2000, "4102b60ac4219d4b")]
     )
-    def test_constructed_fingerprints(self, n, fingerprint):
+    def test_constructed_fingerprints(self, n, fingerprint, sparse_gnm):
         # Fingerprints of the graphs the set-difference z search builds.
         g = construct_realization(extract_jdm(sparse_gnm(n, random.Random(7))))
         assert g.fingerprint() == fingerprint

@@ -15,7 +15,6 @@ graphs were built.  Takes up to ~20 s on one core, most of it the largest n.
 from __future__ import annotations
 
 import random
-import sys
 import time
 
 from jdmkit.core import LabeledGraph, extract_jdm
@@ -35,8 +34,8 @@ def sparse_gnm(n: int, rng: random.Random) -> LabeledGraph:
     return LabeledGraph.from_edges(sorted(pairs))
 
 
-def main(sizes=SIZES) -> None:
-    for n in sizes:
+def main() -> None:
+    for n in SIZES:
         j = extract_jdm(sparse_gnm(n, random.Random(7)))
         best, fingerprints = float("inf"), set()
         for _ in range(REPEATS):
@@ -49,4 +48,4 @@ def main(sizes=SIZES) -> None:
 
 
 if __name__ == "__main__":
-    main(tuple(int(a) for a in sys.argv[1:]) or SIZES)
+    main()
