@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
 from .core import (
     GraphError,
@@ -72,7 +74,7 @@ def _forced_wiring(adj, schedule) -> List[Tuple]:
 
 
 def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
-    """Swap records routing an edge set to its degree function's canonical graph.
+    """Swap records carrying an edge set to its degree function's canonical graph.
 
     The canonical graph is built one vertex at a time, Havel-Hakimi style: the
     active vertex w of highest remaining degree (ties to the smallest label)
@@ -81,6 +83,7 @@ def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
     degree is at least z's, while z alone is adjacent to w, so x's active
     neighborhood cannot fit inside z's.  Every swap strictly grows the overlap
     between w's neighborhood and its target set, so the routing terminates.
+    _route's finish runs this on whatever difference its shrinking swaps leave.
 
     Records follow the (p, q, r, s) convention: remove p-q, r-s; add p-s, r-q.
     Returns (records, canonical edge set as sorted pairs).
@@ -102,14 +105,15 @@ def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
 
 
 def _canonize_bipartite(edges, lefts, rights) -> Tuple[List[Tuple], frozenset]:
-    """Swap records routing a bipartite edge set to its margins' canonical form.
+    """Swap records carrying a bipartite edge set to its margins' canonical form.
 
     Left nodes are processed once each, largest degree first (ties to the
     smallest label), and wired to the right nodes holding the most edges
     toward still-pending left nodes, Gale-Ryser style.  As in
     _canonize_simple, each wiring is one forced swap: the target x holds at
     least as many pending edges as the dropped z, while z alone sees w, so a
-    pending witness adjacent to x but not z always exists.
+    pending witness adjacent to x but not z always exists.  _route's finish
+    runs this as it runs _canonize_simple.
 
     A right node r is keyed (r,) in the shared adjacency, so a left label
     never equals a right key even when the two sides reuse a number; 1-tuples
@@ -143,20 +147,113 @@ def _route_records(fwd_pack, bwd_pack) -> List[Tuple]:
     return fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
 
 
+def _shrink(adj, target, pivots) -> List[Tuple]:
+    """Rewire adj (node -> neighbor set) toward target by swaps that shrink
+    their difference; return them as (a, c, b, d): remove a-c, b-d; add a-d, b-c.
+
+    Call the current edges G and the target's H.  A swap lowers |G Δ H| by
+    2 or 4 only if one pivot a drops an edge a-c of G minus H and gains an
+    edge a-d of H minus G, while the other pivot b either drops b-d of
+    G minus H with b-c not in G, or gains b-c of H minus G with b-d in G.
+    Each step takes the smallest pivot a with such a swap, a swap lowering
+    the difference by 4 before one lowering it by 2, then the smallest c,
+    d and b in that order.  Pivots come from a worklist: after a swap only
+    its four nodes and their difference neighbors can gain a swap, so only
+    those pivots are queued again.  Stops when no pivot has such a swap,
+    which may leave a difference behind.
+    """
+    minus = {v: ns - target[v] for v, ns in adj.items()}
+    plus = {v: target[v] - ns for v, ns in adj.items()}
+    queue = sorted(v for v in pivots if minus[v])
+    queued = set(queue)
+    records: List[Tuple] = []
+    while queue:
+        a = heappop(queue)
+        queued.remove(a)
+        swap = _shrinking_swap(a, adj, minus, plus)
+        if swap is None:
+            continue
+        a, c, b, d = swap
+        _exchange(adj, a, b, c, d)
+        for (u, v), out, back in (((a, c), minus, plus), ((b, d), minus, plus),
+                                  ((a, d), plus, minus), ((b, c), plus, minus)):
+            # A dropped edge leaves G minus H or enters H minus G; an added
+            # one leaves H minus G or enters G minus H.
+            if v in out[u]:
+                out[u].remove(v)
+                out[v].remove(u)
+            else:
+                back[u].add(v)
+                back[v].add(u)
+        records.append(swap)
+        for v in (a, b, c, d):
+            for u in (v, *minus[v], *plus[v]):
+                if u in pivots and u not in queued and minus[u]:
+                    heappush(queue, u)
+                    queued.add(u)
+    return records
+
+
+def _shrinking_swap(a, adj, minus, plus) -> Optional[Tuple]:
+    """_shrink's choice of swap (a, c, b, d) for pivot a, or None."""
+    drops, gains = sorted(minus[a]), sorted(plus[a])
+    for c in drops:
+        for d in gains:
+            both = minus[d] & plus[c]
+            if both:
+                return a, c, min(both), d
+    for c in drops:
+        near_c = adj[c]
+        for d in gains:
+            near_d = adj[d]
+            b = min(
+                itertools.chain(
+                    (b for b in minus[d] if b != c and b not in near_c),
+                    (b for b in plus[c] if b in near_d),
+                ),
+                default=None,
+            )
+            if b is not None:
+                return a, c, b, d
+    return None
+
+
 def _route(canonize, src, dst, *sides) -> List[Tuple]:
-    """Records carrying edge set src onto dst via canonize(edges, *sides)."""
+    """Records carrying edge set src onto dst: difference-shrinking swaps
+    (_shrink), then, for whatever difference they leave, the route through
+    canonize(edges, *sides)'s canonical graph.
+
+    With one side the edges are a simple graph on it and every node may
+    pivot; with two they are (left, right) pairs and only left nodes pivot.
+    """
     if src == dst:
         return []
-    return _route_records(canonize(src, *sides), canonize(dst, *sides))
+    if len(sides) == 1:
+        (nodes,) = sides
+        adj, target = _adjacency(nodes, src), _adjacency(nodes, dst)
+        records = _shrink(adj, target, frozenset(nodes))
+        rest = [(u, v) for u in nodes for v in adj[u] if u < v]
+    else:
+        lefts, rights = sides
+        # Right node r is keyed (r,), as in _canonize_bipartite.
+        nodes = [*lefts, *((r,) for r in rights)]
+        adj = _adjacency(nodes, ((l, (r,)) for l, r in src))
+        target = _adjacency(nodes, ((l, (r,)) for l, r in dst))
+        records = [(a, c, b, d) for a, (c,), b, (d,) in _shrink(adj, target, frozenset(lefts))]
+        rest = [(l, r) for l in lefts for (r,) in adj[l]]
+    if adj != target:
+        records += _route_records(canonize(rest, *sides), canonize(dst, *sides))
+    return records
 
 
 def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int, int, int]]:
     """Ordinary 2-swaps carrying g1's edge set onto g2's.
 
-    Requires the same vertices with the same degrees.  Both edge sets are
-    routed to the canonical graph of the shared degree function and the
-    second route is replayed backwards.  Each returned record (p, q, r, s)
-    removes p-q, r-s and adds p-s, r-q.
+    Requires the same vertices with the same degrees.  Every swap shrinks
+    the difference between the two edge sets until none can (_route); only
+    what is left then goes through the shared degree function's canonical
+    graph.  Each returned record (p, q, r, s) removes p-q, r-s and adds
+    p-s, r-q.
     """
     if g1.vertices != g2.vertices:
         raise GraphError("vertex sets differ")
@@ -169,8 +266,10 @@ def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int,
 def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
     """Side-respecting swaps carrying b1's edges onto b2's.
 
-    Each record (l1, r1, l2, r2) removes l1-r1, l2-r2 and adds l1-r2, l2-r1;
-    the moved pair l1, l2 always sits on the left side.
+    Routed as simple_swap_path routes, by swaps that shrink the difference
+    and then, if some is left, through the margins' canonical form.  Each
+    record (l1, r1, l2, r2) removes l1-r1, l2-r2 and adds l1-r2, l2-r1; the
+    moved pair l1, l2 always sits on the left side.
     """
     if set(b1.left) != set(b2.left) or set(b1.right) != set(b2.right):
         raise GraphError("bipartition node sets differ")
@@ -328,8 +427,11 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     Route: balance both sides, align every spectrum, then equalize each
     class-pair subgraph with ordinary or side-respecting swaps (all of which
     keep their moved pair inside one class), and finally undo h's balancing
-    swaps in reverse.  All four phases run on one swap state per side, which
-    validates every swap; landing anywhere but h raises GraphError.
+    swaps in reverse.  Aligning and equalizing both route by swaps that
+    shrink the difference to h's side graph or subgraph (_route), so the
+    path's length follows how far g is from h.  All four phases run on one
+    swap state per side, which validates every swap; landing anywhere but h
+    raises GraphError.
     """
     cur, tgt = _problem_states(g, h)
     source_fp, target_fp = g.fingerprint(), h.fingerprint()
@@ -357,6 +459,7 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
         inv = r.inverse()
         cur.swap(inv)
         swaps.append(inv)
-    if cur.graph() != h:
+    # _problem_states compared the class maps, so the edges decide.
+    if set(cur.edges()) != h.edge_set():
         raise GraphError("path must land exactly on the target")
     return SwapSequence(tuple(swaps), source_fp, target_fp)

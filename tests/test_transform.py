@@ -1,5 +1,8 @@
 """Swap paths: plain graphs, side graphs, and full class-preserving routes."""
 
+import importlib
+import itertools
+import os
 import random
 import textwrap
 
@@ -27,6 +30,12 @@ from jdmkit.transform import (
     simple_swap_path,
     spectrum_align,
 )
+
+# An 8-cycle and two 4-cycles on the same eight vertices.  No single swap
+# shrinks their difference, so rso_path's one class pair, (2, 2), goes
+# through the canonical finish.
+EIGHT_CYCLE = [(0, 3), (0, 4), (1, 6), (1, 7), (2, 3), (2, 6), (4, 5), (5, 7)]
+TWO_SQUARES = [(0, 3), (0, 7), (1, 3), (1, 7), (2, 4), (2, 6), (4, 5), (5, 6)]
 
 
 def replay_simple(edges, records):
@@ -158,6 +167,144 @@ class TestBipartiteSwapPath:
             b2 = Bipartite(tuple(range(nl)), tuple(cols), e2)
             records = bipartite_swap_path(b1, b2)
             assert replay_bipartite(e1, records) == e2
+
+
+def lowering_swaps(cur, tgt, pivots, nodes):
+    """(drop, (a, c, b, d)) for every valid swap on edge set cur (2-sets) with
+    pivots a, b that lowers |cur ^ tgt| by drop.  Brute force."""
+    out, size = [], len(cur ^ tgt)
+    for a, c in itertools.product(pivots, nodes):
+        if frozenset((a, c)) not in cur:
+            continue
+        for d, b in itertools.product(nodes, pivots):
+            rm, ad = {frozenset((a, c)), frozenset((b, d))}, {frozenset((a, d)), frozenset((b, c))}
+            if len({a, b, c, d}) < 4 or not rm <= cur or ad & cur:
+                continue
+            drop = size - len(((cur - rm) | ad) ^ tgt)
+            if drop > 0:
+                out.append((drop, (a, c, b, d)))
+    return out
+
+
+def check_route(records, cur, tgt, pivots, nodes):
+    """Replay records (a, c, b, d) on cur; each must be a valid swap, each one
+    before the canonical finish must be the documented choice among the
+    lowering swaps, and the route must land on tgt.  Returns whether the
+    first state was stuck (no lowering swap) and whether the finish ran."""
+    stuck, finished = not lowering_swaps(cur, tgt, pivots, nodes), False
+    for a, c, b, d in records:
+        rm, ad = {frozenset((a, c)), frozenset((b, d))}, {frozenset((a, d)), frozenset((b, c))}
+        assert len({a, b, c, d}) == 4 and a in pivots and b in pivots
+        assert rm <= cur and not ad & cur
+        if not finished:
+            options = lowering_swaps(cur, tgt, pivots, nodes)
+            if options:
+                # Smallest pivot a that drops an edge of cur - tgt and gains
+                # one of tgt - cur, a drop of 4 before 2, then c, d and b.
+                key, drop, swap = min(
+                    ((p, -drop, q, s, r), drop, (p, q, r, s))
+                    for drop, (p, q, r, s) in options
+                    if frozenset((p, q)) in cur - tgt and frozenset((p, s)) in tgt - cur
+                )
+                assert (a, c, b, d) == swap and drop in (2, 4)
+            else:
+                finished = True
+        cur = (cur - rm) | ad
+    assert cur == tgt
+    return stuck, finished
+
+
+def simple_case(g_edges, h_edges):
+    """Records of simple_swap_path, |E(g) ^ E(h)| and check_route's verdicts."""
+    g, h = LabeledGraph.from_edges(g_edges), LabeledGraph.from_edges(h_edges)
+    records = simple_swap_path(g, h)
+    cur, tgt = (frozenset(frozenset(e) for e in es) for es in (g_edges, h_edges))
+    return (records, len(cur ^ tgt), *check_route(records, cur, tgt, g.vertices, g.vertices))
+
+
+def bipartite_case(lefts, rights, g_edges, h_edges):
+    """As simple_case for bipartite_swap_path; nodes are tagged by side."""
+    records = bipartite_swap_path(
+        Bipartite(lefts, rights, frozenset(g_edges)), Bipartite(lefts, rights, frozenset(h_edges))
+    )
+    cur, tgt = (frozenset(frozenset((("l", l), ("r", r))) for l, r in es) for es in (g_edges, h_edges))
+    tagged = [(("l", a), ("r", c), ("l", b), ("r", d)) for a, c, b, d in records]
+    pivots = [("l", l) for l in lefts]
+    verdicts = check_route(tagged, cur, tgt, pivots, pivots + [("r", r) for r in rights])
+    return (records, len(cur ^ tgt), *verdicts)
+
+
+class TestShrinkingRoute:
+    """The router's swaps each shrink the difference to the target until none
+    does; the canonical route finishes what is left."""
+
+    STUCK_SIMPLE = (
+        [(0, 2), (0, 3), (0, 4), (0, 5), (0, 7), (1, 4), (1, 5), (1, 6), (1, 7),
+         (2, 4), (2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 6), (4, 7)],
+        [(0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 5), (1, 6), (1, 7),
+         (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (4, 6), (4, 7), (5, 7)],
+    )
+    # Left nodes 0..4, right nodes 0..6, edges as (l, r).
+    STUCK_BIPARTITE = (
+        [(0, 0), (0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1),
+         (2, 5), (2, 6), (3, 0), (3, 2), (4, 1), (4, 3), (4, 4), (4, 5)],
+        [(0, 0), (0, 4), (0, 5), (1, 0), (1, 3), (1, 4), (1, 5), (2, 1),
+         (2, 5), (2, 6), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (4, 4)],
+    )
+
+    def test_stuck_simple_pair_takes_the_canonical_finish(self):
+        g_edges, h_edges = self.STUCK_SIMPLE
+        records, size, stuck, finished = simple_case(g_edges, h_edges)
+        assert size == 8 and stuck and finished and len(records) == 11
+        assert replay_simple(g_edges, records) == {frozenset(e) for e in h_edges}
+
+    def test_stuck_bipartite_pair_takes_the_canonical_finish(self):
+        g_edges, h_edges = self.STUCK_BIPARTITE
+        records, size, stuck, finished = bipartite_case(tuple(range(5)), tuple(range(7)), g_edges, h_edges)
+        assert size == 8 and stuck and finished and len(records) == 11
+        assert replay_bipartite(g_edges, records) == frozenset(h_edges)
+
+    def test_stuck_cycles_route_through_rso_path(self):
+        _, _, stuck, finished = simple_case(EIGHT_CYCLE, TWO_SQUARES)
+        assert stuck and finished
+        g, h = LabeledGraph.from_edges(EIGHT_CYCLE), LabeledGraph.from_edges(TWO_SQUARES)
+        assert rso_path(g, h).replay(g) == h
+
+    def test_random_pairs_shrink_until_the_finish(self):
+        rng = random.Random(1802)
+
+        def walk(edges, steps, simple):
+            # Random valid swaps a-c, b-d -> a-d, b-c keep every degree.  In a
+            # simple graph either end of an edge may pivot; in a bipartite
+            # one the left end pivots, and the sides may reuse a number.
+            key = (lambda u, v: (min(u, v), max(u, v))) if simple else (lambda l, r: (l, r))
+            cur = set(edges)
+            for _ in range(steps):
+                (a, c), (b, d) = (
+                    e[::-1] if simple and rng.random() < 0.5 else e for e in rng.sample(sorted(cur), 2)
+                )
+                distinct = len({a, b, c, d}) == 4 if simple else a != b and c != d
+                if distinct and not {key(a, d), key(b, c)} & cur:
+                    cur -= {key(a, c), key(b, d)}
+                    cur |= {key(a, d), key(b, c)}
+            return sorted(cur)
+
+        for _ in range(150):
+            n = rng.randrange(5, 10)
+            p = rng.uniform(0.3, 0.7)
+            g_edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            if len(g_edges) < 2:
+                continue
+            h_edges = walk(g_edges, 20 * len(g_edges), simple=True)
+            simple_case(g_edges, h_edges)
+        for _ in range(150):
+            lefts, rights = tuple(range(rng.randrange(3, 8))), tuple(range(rng.randrange(3, 8)))
+            p = rng.uniform(0.3, 0.7)
+            g_edges = [e for e in itertools.product(lefts, rights) if rng.random() < p]
+            if len(g_edges) < 2:
+                continue
+            h_edges = walk(g_edges, 20 * len(g_edges), simple=False)
+            bipartite_case(lefts, rights, g_edges, h_edges)
 
 
 class TestAuxBipartite:
@@ -303,17 +450,18 @@ class TestRsoPath:
     def test_replay_rejects_each_corrupted_swap(self, pendant, six_cycle, two_triangles):
         h = LabeledGraph.from_edges(TestPinnedTraces.PENDANT_OTHER)
         seq = rso_path(pendant, h)
-        s = seq.swaps[3]
-        assert str(s) == "0 1 7 3 1"
+        s = seq.swaps[2]
+        assert str(s) == "0 2 7 4 1"
         cases = [
-            (Rso(0, 0, 7, 3, 1), r"swap vertices \(0, 0, 7, 3\) are not pairwise distinct"),
-            (Rso(0, 1, 7, 9, 1), "unknown vertex 9"),
-            (Rso(0, 1, 7, 3, 3), "vertices 0, 1 must both be in class 3"),
-            (Rso(1, 0, 7, 3, 1), "required edge 1-7 is missing"),
-            (seq.swaps[4], "required edge 1-7 is missing"),
+            (Rso(0, 0, 7, 4, 1), r"swap vertices \(0, 0, 7, 4\) are not pairwise distinct"),
+            (Rso(0, 2, 7, 9, 1), "unknown vertex 9"),
+            (Rso(0, 2, 7, 4, 3), "vertices 0, 2 must both be in class 3"),
+            (Rso(2, 0, 7, 4, 1), "required edge 2-7 is missing"),
+            (seq.swaps[4], "required edge 4-0 is missing"),
+            (Rso(3, 4, 1, 6, 3), "target edge 3-6 is already present"),
         ]
         for bad, message in cases:
-            swaps = seq.swaps[:3] + (bad,) + seq.swaps[4:]
+            swaps = seq.swaps[:2] + (bad,) + seq.swaps[3:]
             corrupt = SwapSequence(swaps, seq.source_fingerprint, seq.target_fingerprint)
             with pytest.raises(SwapError, match=f"^{message}$"):
                 corrupt.replay(pendant)
@@ -327,9 +475,9 @@ class TestRsoPath:
             short.replay(pendant)
 
     def test_landing_check_survives_optimized_mode(self, six_cycle, two_triangles, optimized_stdout):
-        # With a record dropped from every class-pair route the path misses
-        # its target.  Under python -O the assert statements are gone, so
-        # only an explicit check can refuse the sequence.
+        # With a record dropped from every difference-shrinking route the
+        # path misses its target.  Under python -O the assert statements are
+        # gone, so only an explicit check can refuse the sequence.
         script = textwrap.dedent(
             f"""
             import sys
@@ -337,8 +485,8 @@ class TestRsoPath:
             from jdmkit.core import GraphError, LabeledGraph
 
             assert sys.flags.optimize
-            route = transform._route_records
-            transform._route_records = lambda fwd, bwd: route(fwd, bwd)[:-1]
+            shrink = transform._shrink
+            transform._shrink = lambda adj, target, pivots: shrink(adj, target, pivots)[:-1]
             g = LabeledGraph.from_edges({list(six_cycle.edges())})
             h = LabeledGraph.from_edges({list(two_triangles.edges())})
             try:
@@ -356,7 +504,8 @@ class TestRsoPath:
         "sabotage, message",
         [
             # The forward route claims to end where it started, so the two
-            # routes of class pair (3, 3) disagree on the canonical graph.
+            # routes of class pair (2, 2), the cycles, disagree on the
+            # canonical graph; only the canonical finish canonizes.
             (
                 "simple = transform._canonize_simple; "
                 "transform._canonize_simple = lambda es, vs: (simple(es, vs)[0], frozenset(es))",
@@ -367,6 +516,11 @@ class TestRsoPath:
         ],
     )
     def test_invariants_survive_optimized_mode(self, pendant, sabotage, message, optimized_stdout):
+        # The pendant pair beside the cycle pair on labels 8..15: class 3
+        # needs aligning and class pair (2, 2) the canonical finish.
+        shift = lambda edges: [(u + 8, v + 8) for u, v in edges]
+        g_edges = list(pendant.edges()) + shift(EIGHT_CYCLE)
+        h_edges = TestPinnedTraces.PENDANT_OTHER + shift(TWO_SQUARES)
         script = textwrap.dedent(
             f"""
             import sys
@@ -375,8 +529,8 @@ class TestRsoPath:
 
             assert sys.flags.optimize
             {sabotage}
-            g = LabeledGraph.from_edges({list(pendant.edges())})
-            h = LabeledGraph.from_edges({TestPinnedTraces.PENDANT_OTHER})
+            g = LabeledGraph.from_edges({g_edges})
+            h = LabeledGraph.from_edges({h_edges})
             try:
                 seq = transform.rso_path(g, h)
             except GraphError as exc:
@@ -406,12 +560,10 @@ class TestPinnedTraces:
     def test_pendant_path_trace(self, pendant):
         h = LabeledGraph.from_edges(self.PENDANT_OTHER)
         assert dumps_trace(rso_path(pendant, h).swaps) == (
-            "3 5 0 6 3\n5 6 0 4 3\n6 7 0 4 3\n0 1 7 3 1\n1 2 7 4 1\n"
-            "0 1 3 4 1\n5 3 7 6 3\n6 7 4 3 3\n6 7 3 4 3\n5 3 4 7 3\n4 3 0 5 3\n"
+            "3 5 0 6 3\n5 7 0 4 3\n0 2 7 4 1\n3 5 6 4 3\n4 3 0 5 3\n"
         )
         assert dumps_trace(rso_path(h, pendant).swaps) == (
-            "3 4 0 5 3\n6 7 4 2 3\n5 6 3 2 3\n0 1 4 3 1\n1 2 4 5 1\n"
-            "0 1 3 5 1\n6 3 5 4 3\n5 3 0 6 3\n"
+            "3 4 0 5 3\n5 7 3 2 3\n0 2 4 5 1\n3 7 4 5 3\n3 5 7 6 3\n5 3 0 6 3\n"
         )
 
     def test_labels_out_of_class_order(self, pendant):
@@ -430,12 +582,10 @@ class TestPinnedTraces:
             assert extract_jdm(balanced) == j
         forward, backward = rso_path(g, h), rso_path(h, g)
         assert dumps_trace(forward.swaps) == (
-            "4 0 6 1 3\n1 3 2 5 3\n3 4 0 7 3\n3 4 7 0 3\n5 6 1 0 1\n"
-            "2 3 4 1 3\n3 4 0 1 3\n1 4 6 0 3\n"
+            "4 0 6 1 3\n1 3 2 5 3\n5 6 1 0 1\n1 0 4 2 3\n0 4 3 2 3\n1 4 6 0 3\n"
         )
         assert dumps_trace(backward.swaps) == (
-            "4 1 6 0 3\n3 4 1 7 3\n3 4 7 0 3\n1 3 6 0 3\n5 6 0 3 1\n"
-            "1 2 4 3 3\n1 3 0 4 3\n0 4 6 1 3\n"
+            "4 1 6 0 3\n1 3 6 4 3\n5 6 0 3 1\n0 2 4 3 3\n0 4 6 1 3\n"
         )
         assert forward.replay(g) == h and backward.replay(h) == g
         cur = g
@@ -447,3 +597,22 @@ class TestPinnedTraces:
         g = LabeledGraph.from_edges([(0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5)])
         h = LabeledGraph.from_edges([(0, 4), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
         assert dumps_trace(rso_path(g, h).swaps) == "4 5 0 2 3\n0 1 5 4 1\n"
+
+
+def test_path_scaling_tool_reports_each_size(monkeypatch, capsys):
+    # tools/path_scaling.py imports its siblings as a script would.
+    tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+    monkeypatch.syspath_prepend(tools)
+    path_scaling = importlib.import_module("path_scaling")
+    path_scaling.main((60, 120))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["n=60", "n=120"]
+    for line in lines:
+        fields = dict(item.split("=") for item in line.split()[1:])
+        assert set(fields) == {"best_of_3_s", "swaps", "bound", "stretch", "trace"}
+        swaps, bound = int(fields["swaps"]), float(fields["bound"])
+        # Each swap changes four edges, so no path is shorter than the bound.
+        assert 0 < bound <= swaps
+        assert fields["stretch"] == f"{swaps / bound:.2f}"
+        assert float(fields["best_of_3_s"]) > 0
+        assert len(fields["trace"]) == 16 and int(fields["trace"], 16) >= 0
