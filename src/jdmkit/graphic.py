@@ -246,7 +246,7 @@ def psi_descent_step(s: CandidateState, steps: int = 1) -> CandidateState:
     psi = s.psi
     if psi == 0:
         raise GraphError("descent requires psi > 0")
-    if not isinstance(steps, int) or not 1 <= steps <= psi // 2:
+    if not isinstance(steps, int) or isinstance(steps, bool) or not 1 <= steps <= psi // 2:
         raise GraphError(
             f"steps must be an integer from 1 to psi / 2 = {psi // 2}, got {steps!r}"
         )

@@ -48,15 +48,17 @@ class Bipartite:
 def _forced_wiring(adj, schedule) -> List[Tuple]:
     """Rewire adj (node -> neighbor set) in place by forced swaps; return them.
 
-    schedule(active) yields (w, targets) pairs, and w leaves the active set
-    once wired.  Each swap gains w's smallest missing target x and drops its
-    smallest active non-target z via the smallest active witness y adjacent
-    to x but not to z, trading the w-z, y-x edges for w-x, y-z; it is
-    recorded as (w, z, y, x).
+    schedule(adj, active) yields (w, targets) pairs, reading adj as wired so
+    far, and w leaves the active set once wired.  Each swap gains w's
+    smallest missing target x and drops its smallest active non-target z via
+    the smallest active witness y adjacent to x but not to z, trading the
+    w-z, y-x edges for w-x, y-z; it is recorded as (w, z, y, x).  A
+    schedule's choices follow from the degrees alone, so two graphs of one
+    degree function wired by one schedule end on one canonical graph.
     """
     records: List[Tuple] = []
     active = set(adj)
-    for w, targets in schedule(active):
+    for w, targets in schedule(adj, active):
         while True:
             x = min((t for t in targets if t not in adj[w]), default=None)
             if x is None:
@@ -73,78 +75,46 @@ def _forced_wiring(adj, schedule) -> List[Tuple]:
     return records
 
 
-def _canonize_simple(edges, vertices) -> Tuple[List[Tuple], frozenset]:
-    """Swap records carrying an edge set to its degree function's canonical graph.
+def _havel_hakimi(adj, active):
+    """_forced_wiring's schedule toward a simple graph's canonical graph.
 
     The canonical graph is built one vertex at a time, Havel-Hakimi style: the
     active vertex w of highest remaining degree (ties to the smallest label)
     gets wired to the active vertices of next-highest remaining degrees by
-    forced swaps (_forced_wiring).  The witness always exists: x's remaining
-    degree is at least z's, while z alone is adjacent to w, so x's active
-    neighborhood cannot fit inside z's.  Every swap strictly grows the overlap
-    between w's neighborhood and its target set, so the routing terminates.
-    _route's finish runs this on whatever difference its shrinking swaps leave.
-
-    Records follow the (p, q, r, s) convention: remove p-q, r-s; add p-s, r-q.
-    Returns (records, canonical edge set as sorted pairs).
+    forced swaps.  The witness always exists: x's remaining degree is at
+    least z's, while z alone is adjacent to w, so x's active neighborhood
+    cannot fit inside z's.  Every swap strictly grows the overlap between
+    w's neighborhood and its target set, so the wiring terminates.
     """
-    adj = _adjacency(vertices, edges)
-
-    def havel_hakimi(active):
-        while len(active) > 1:
-            dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
-            w = max(active, key=lambda v: (dact[v], -v))
-            if dact[w] == 0:
-                return
-            rest = sorted((v for v in active if v != w), key=lambda v: (-dact[v], v))
-            yield w, set(rest[: dact[w]])
-
-    records = _forced_wiring(adj, havel_hakimi)
-    canon = frozenset((u, v) for u in adj for v in adj[u] if u < v)
-    return records, canon
+    while len(active) > 1:
+        dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
+        w = max(active, key=lambda v: (dact[v], -v))
+        if dact[w] == 0:
+            return
+        rest = sorted((v for v in active if v != w), key=lambda v: (-dact[v], v))
+        yield w, set(rest[: dact[w]])
 
 
-def _canonize_bipartite(edges, lefts, rights) -> Tuple[List[Tuple], frozenset]:
-    """Swap records carrying a bipartite edge set to its margins' canonical form.
+def _gale_ryser(lefts, rights):
+    """_forced_wiring's schedule toward a bipartite graph's canonical form.
 
-    Left nodes are processed once each, largest degree first (ties to the
-    smallest label), and wired to the right nodes holding the most edges
-    toward still-pending left nodes, Gale-Ryser style.  As in
-    _canonize_simple, each wiring is one forced swap: the target x holds at
-    least as many pending edges as the dropped z, while z alone sees w, so a
-    pending witness adjacent to x but not z always exists.  _route's finish
-    runs this as it runs _canonize_simple.
-
-    A right node r is keyed (r,) in the shared adjacency, so a left label
-    never equals a right key even when the two sides reuse a number; 1-tuples
-    sort as their labels do.
-
-    Records are (l1, r1, l2, r2): remove l1-r1, l2-r2; add l1-r2, l2-r1.
-    Returns (records, canonical edge set as (l, r) pairs).
+    Left nodes are wired once each, largest degree first (ties to the
+    smallest label), to the right nodes holding the most edges toward
+    still-pending left nodes, Gale-Ryser style.  As in _havel_hakimi, each
+    wiring is one forced swap: the target x holds at least as many pending
+    edges as the dropped z, while z alone sees w, so a pending witness
+    adjacent to x but not z always exists.  rights are the right nodes' keys
+    in adj.
     """
-    adj = _adjacency([*lefts, *((r,) for r in rights)], ((l, (r,)) for l, r in edges))
-
-    def gale_ryser(active):
-        live = {(r,): len(adj[(r,)]) for r in rights}  # edges toward pending lefts
+    def schedule(adj, active):
+        live = {r: len(adj[r]) for r in rights}  # edges toward pending lefts
         for w in sorted(lefts, key=lambda l: (-len(adj[l]), l)):
             rank = sorted(live, key=lambda r: (-live[r], r))
             yield w, set(rank[: len(adj[w])])
             for r in adj[w]:
                 live[r] -= 1
 
-    records = [(w, z, y, x) for w, (z,), y, (x,) in _forced_wiring(adj, gale_ryser)]
-    canon = frozenset((l, r) for l in lefts for (r,) in adj[l])
-    return records, canon
-
-
-def _route_records(fwd_pack, bwd_pack) -> List[Tuple]:
-    """Join two canonization routes into one path: forward, then backward."""
-    fwd, canon_f = fwd_pack
-    bwd, canon_b = bwd_pack
-    if canon_f != canon_b:
-        raise GraphError("both routes must reach one canonical form")
-    # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
-    return fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
+    return schedule
 
 
 def _shrink(adj, target, pivots) -> List[Tuple]:
@@ -218,32 +188,37 @@ def _shrinking_swap(a, adj, minus, plus) -> Optional[Tuple]:
     return None
 
 
-def _route(canonize, src, dst, *sides) -> List[Tuple]:
-    """Records carrying edge set src onto dst: difference-shrinking swaps
-    (_shrink), then, for whatever difference they leave, the route through
-    canonize(edges, *sides)'s canonical graph.
+def _route(src, dst, lefts, rights=None) -> List[Tuple]:
+    """Records (a, c, b, d) carrying edge set src onto dst: remove a-c, b-d;
+    add a-d, b-c.
 
-    With one side the edges are a simple graph on it and every node may
-    pivot; with two they are (left, right) pairs and only left nodes pivot.
+    With no rights the edges are a simple graph on lefts and every node
+    pivots; otherwise they are (left, right) pairs and only lefts pivot.
+    Difference-shrinking swaps (_shrink) run first.  The finish takes what
+    difference they leave: it wires the graph and the target in place to
+    one canonical graph (_forced_wiring) and goes back along the target's
+    wiring.
     """
     if src == dst:
         return []
-    if len(sides) == 1:
-        (nodes,) = sides
-        adj, target = _adjacency(nodes, src), _adjacency(nodes, dst)
-        records = _shrink(adj, target, frozenset(nodes))
-        rest = [(u, v) for u in nodes for v in adj[u] if u < v]
+    if rights is None:
+        nodes, schedule = lefts, _havel_hakimi
     else:
-        lefts, rights = sides
-        # Right node r is keyed (r,), as in _canonize_bipartite.
-        nodes = [*lefts, *((r,) for r in rights)]
-        adj = _adjacency(nodes, ((l, (r,)) for l, r in src))
-        target = _adjacency(nodes, ((l, (r,)) for l, r in dst))
-        records = [(a, c, b, d) for a, (c,), b, (d,) in _shrink(adj, target, frozenset(lefts))]
-        rest = [(l, r) for l in lefts for (r,) in adj[l]]
+        # Right node r is keyed (r,), so a left label never equals a right
+        # key even when the two sides reuse a number; 1-tuples sort as their
+        # labels do.
+        keys = [(r,) for r in rights]
+        nodes, schedule = [*lefts, *keys], _gale_ryser(lefts, keys)
+        src, dst = ([(l, (r,)) for l, r in edges] for edges in (src, dst))
+    adj, target = _adjacency(nodes, src), _adjacency(nodes, dst)
+    records = _shrink(adj, target, frozenset(lefts))
     if adj != target:
-        records += _route_records(canonize(rest, *sides), canonize(dst, *sides))
-    return records
+        fwd, bwd = _forced_wiring(adj, schedule), _forced_wiring(target, schedule)
+        if adj != target:
+            raise GraphError("both routes must reach one canonical form")
+        # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
+        records += fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
+    return records if rights is None else [(a, c, b, d) for a, (c,), b, (d,) in records]
 
 
 def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int, int, int]]:
@@ -260,7 +235,7 @@ def simple_swap_path(g1: LabeledGraph, g2: LabeledGraph) -> List[Tuple[int, int,
     for v in g1.vertices:
         if g1.degree(v) != g2.degree(v):
             raise GraphError(f"degree mismatch at vertex {v}")
-    return _route(_canonize_simple, g1.edge_set(), g2.edge_set(), g1.vertices)
+    return _route(g1.edge_set(), g2.edge_set(), g1.vertices)
 
 
 def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
@@ -271,8 +246,12 @@ def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
     record (l1, r1, l2, r2) removes l1-r1, l2-r2 and adds l1-r2, l2-r1; the
     moved pair l1, l2 always sits on the left side.
     """
-    if set(b1.left) != set(b2.left) or set(b1.right) != set(b2.right):
+    lefts, rights = set(b1.left), set(b1.right)
+    if lefts != set(b2.left) or rights != set(b2.right):
         raise GraphError("bipartition node sets differ")
+    for l, r in itertools.chain(b1.edges, b2.edges):
+        if l not in lefts or r not in rights:
+            raise GraphError(f"edge {(l, r)!r} has a node off its side")
     left1, left2 = Counter(l for l, _ in b1.edges), Counter(l for l, _ in b2.edges)
     for l in b1.left:
         if left1[l] != left2[l]:
@@ -281,8 +260,7 @@ def bipartite_swap_path(b1: Bipartite, b2: Bipartite) -> List[Tuple]:
     for r in b1.right:
         if right1[r] != right2[r]:
             raise GraphError(f"degree mismatch at right node {r!r}")
-    sides = sorted(set(b1.left)), sorted(set(b1.right))
-    return _route(_canonize_bipartite, b1.edges, b2.edges, *sides)
+    return _route(b1.edges, b2.edges, sorted(lefts), sorted(rights))
 
 
 def _class_state(g: LabeledGraph, j: int) -> _SwapState:
@@ -445,13 +423,10 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     part = cur.part
     tgt_pairs = _edges_by_class_pair(tgt.classes, tgt.edges())
     for (i, j), cur_sub in _edges_by_class_pair(cur.classes, cur.edges()).items():
-        if i == j:
-            canonize, sides = _canonize_simple, (part[i],)
-        else:
-            canonize, sides = _canonize_bipartite, (part[i], part[j])
+        rights = None if i == j else part[j]
         # Both record kinds remove x1-y1, x2-y2 and add x1-y2, x2-y1, with
         # x1, x2 in class i.
-        for x1, y1, x2, y2 in _route(canonize, cur_sub, tgt_pairs[(i, j)], *sides):
+        for x1, y1, x2, y2 in _route(cur_sub, tgt_pairs[(i, j)], part[i], rights):
             rso = Rso(x1, x2, y1, y2, pivot_class=i)
             cur.swap(rso)
             swaps.append(rso)

@@ -331,7 +331,7 @@ class TestBatchDescent:
             assert psi_descent_step(state, state.psi // 2).graph.is_realization()
             checked += 1
 
-    @pytest.mark.parametrize("steps", [0, -1, "past", 1.5])
+    @pytest.mark.parametrize("steps", [0, -1, "past", 1.5, True])
     def test_steps_out_of_range_are_refused(self, steps):
         state = initial_candidate(Jdm([[0, 0, 3], [0, 0, 0], [3, 0, 6]]))
         if steps == "past":

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import os
 import random
+import re
 import textwrap
 
 import pytest
@@ -130,6 +131,16 @@ class TestBipartiteSwapPath:
         b5 = Bipartite(left=(0, 1), right=(5, 6), edges=frozenset([(0, 6)]))
         with pytest.raises(GraphError, match="degree mismatch at right node 5"):
             bipartite_swap_path(b4, b5)
+
+    @pytest.mark.parametrize("edge", [(7, 6), (1, 9)])
+    def test_edges_must_keep_to_their_sides(self, edge):
+        # (7, 6) names a left node off the left side, (1, 9) a right node
+        # off the right side.
+        good = Bipartite(left=(0, 1), right=(5, 6), edges=frozenset([(0, 5), (1, 6)]))
+        bad = Bipartite(left=(0, 1), right=(5, 6), edges=frozenset([(0, 5), edge]))
+        for b1, b2 in ((bad, bad), (good, bad), (bad, good)):
+            with pytest.raises(GraphError, match=re.escape(f"edge {edge!r} has a node off its side")):
+                bipartite_swap_path(b1, b2)
 
     def test_five_by_four_regression_pair(self):
         f1c = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 0),
@@ -269,6 +280,28 @@ class TestShrinkingRoute:
         assert stuck and finished
         g, h = LabeledGraph.from_edges(EIGHT_CYCLE), LabeledGraph.from_edges(TWO_SQUARES)
         assert rso_path(g, h).replay(g) == h
+
+    def test_finish_records_are_pinned(self):
+        # The exact records of three routes that take the canonical finish,
+        # so a change to the finish shows here even when its routes land.
+        g_edges, h_edges = self.STUCK_SIMPLE
+        assert simple_swap_path(LabeledGraph.from_edges(g_edges), LabeledGraph.from_edges(h_edges)) == [
+            (0, 3, 4, 1), (0, 5, 3, 6), (2, 5, 6, 1), (2, 6, 7, 3), (4, 3, 1, 5), (1, 7, 3, 5),
+            (6, 5, 7, 3), (1, 5, 6, 7), (4, 5, 1, 3), (2, 1, 6, 5), (0, 1, 2, 3),
+        ]
+        lefts, rights = tuple(range(5)), tuple(range(7))
+        g_edges, h_edges = self.STUCK_BIPARTITE
+        assert bipartite_swap_path(
+            Bipartite(lefts, rights, frozenset(g_edges)), Bipartite(lefts, rights, frozenset(h_edges))
+        ) == [
+            (1, 2, 0, 0), (1, 3, 0, 1), (4, 5, 0, 2), (0, 3, 3, 0), (0, 4, 2, 1), (2, 5, 3, 2),
+            (2, 6, 3, 3), (2, 4, 3, 6), (2, 2, 3, 5), (0, 1, 3, 4), (1, 1, 2, 3),
+        ]
+        g, h = LabeledGraph.from_edges(EIGHT_CYCLE), LabeledGraph.from_edges(TWO_SQUARES)
+        assert dumps_trace(rso_path(g, h).swaps) == (
+            "0 6 3 1 2\n0 3 4 2 2\n3 4 6 5 2\n6 7 2 1 2\n6 2 4 7 2\n2 7 4 5 2\n"
+            "6 2 7 5 2\n6 7 1 2 2\n3 1 5 7 2\n3 5 4 1 2\n0 4 2 7 2\n0 7 1 3 2\n"
+        )
 
     def test_random_pairs_shrink_until_the_finish(self):
         rng = random.Random(1802)
@@ -503,12 +536,11 @@ class TestRsoPath:
     @pytest.mark.parametrize(
         "sabotage, message",
         [
-            # The forward route claims to end where it started, so the two
-            # routes of class pair (2, 2), the cycles, disagree on the
-            # canonical graph; only the canonical finish canonizes.
+            # A simple schedule that wires nothing leaves the two graphs of
+            # class pair (2, 2), the cycles, apart, and only the finish's
+            # own check refuses that.
             (
-                "simple = transform._canonize_simple; "
-                "transform._canonize_simple = lambda es, vs: (simple(es, vs)[0], frozenset(es))",
+                "transform._havel_hakimi = lambda adj, active: iter(())",
                 "both routes must reach one canonical form",
             ),
             # Side-graph paths that never move leave class 3's spectra apart.
@@ -609,7 +641,8 @@ def test_path_scaling_tool_reports_each_size(monkeypatch, capsys):
     assert [line.split()[0] for line in lines] == ["n=60", "n=120"]
     for line in lines:
         fields = dict(item.split("=") for item in line.split()[1:])
-        assert set(fields) == {"best_of_3_s", "swaps", "bound", "stretch", "trace"}
+        assert set(fields) == {"best_of_3_s", "swaps", "bound", "stretch", "finishes", "trace"}
+        assert int(fields["finishes"]) >= 0
         swaps, bound = int(fields["swaps"]), float(fields["bound"])
         # Each swap changes four edges, so no path is shorter than the bound.
         assert 0 < bound <= swaps
