@@ -190,6 +190,8 @@ def _cmd_sample(args) -> int:
     j = load_jdm(args.matrix)
     if args.start and args.chain == "direct":
         raise GraphError("--start only applies to chain a or b")
+    if args.save_last and args.chain == "direct":
+        raise GraphError("--save-last only applies to chain a or b")
     if (args.burnin, args.thin) != (0, 1) and args.chain == "direct":
         raise GraphError("--burnin and --thin only apply to chain a or b")
     if args.start:

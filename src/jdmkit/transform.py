@@ -45,20 +45,34 @@ class Bipartite:
         return sum(1 for (_, b) in self.edges if b == r)
 
 
-def _forced_wiring(adj, schedule) -> List[Tuple]:
-    """Rewire adj (node -> neighbor set) in place by forced swaps; return them.
+def _forced_wiring(adj, lefts, rights=None) -> List[Tuple]:
+    """Rewire adj (node -> neighbor set) in place to a canonical graph by
+    forced swaps; return them.
 
-    schedule(adj, active) yields (w, targets) pairs, reading adj as wired so
-    far, and w leaves the active set once wired.  Each swap gains w's
-    smallest missing target x and drops its smallest active non-target z via
-    the smallest active witness y adjacent to x but not to z, trading the
-    w-z, y-x edges for w-x, y-z; it is recorded as (w, z, y, x).  A
-    schedule's choices follow from the degrees alone, so two graphs of one
-    degree function wired by one schedule end on one canonical graph.
+    The active left w with the most active neighbors (ties to the smallest
+    label) is wired to the pool's vertices with the most active neighbors,
+    then leaves the active set.  The pool is every other active vertex
+    (Havel-Hakimi) or, given rights (keys in adj), the right nodes, which
+    stay active: a left's count is then its degree and a right's its edges
+    toward pending lefts (Gale-Ryser).  Each swap gains w's smallest missing
+    target x and drops its smallest active non-target z via the smallest
+    active witness y adjacent to x but not to z, trading w-z, y-x for w-x,
+    y-z; it is recorded as (w, z, y, x).  The witness exists: x has at least
+    as many active neighbors as z, and z alone sees w, so x's active
+    neighbors cannot all be z's.  Each swap grows the overlap of w's
+    neighborhood with its targets, so the wiring ends; its choices follow
+    from the degrees, so two graphs of one degree function end on one
+    canonical graph.
     """
     records: List[Tuple] = []
     active = set(adj)
-    for w, targets in schedule(adj, active):
+    while True:
+        dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
+        w = min((v for v in lefts if v in active), key=lambda v: (-dact[v], v), default=None)
+        if w is None or dact[w] == 0:
+            return records
+        pool = (v for v in active if v != w) if rights is None else rights
+        targets = set(sorted(pool, key=lambda v: (-dact[v], v))[: dact[w]])
         while True:
             x = min((t for t in targets if t not in adj[w]), default=None)
             if x is None:
@@ -72,49 +86,6 @@ def _forced_wiring(adj, schedule) -> List[Tuple]:
             _exchange(adj, w, y, z, x)
             records.append((w, z, y, x))
         active.remove(w)
-    return records
-
-
-def _havel_hakimi(adj, active):
-    """_forced_wiring's schedule toward a simple graph's canonical graph.
-
-    The canonical graph is built one vertex at a time, Havel-Hakimi style: the
-    active vertex w of highest remaining degree (ties to the smallest label)
-    gets wired to the active vertices of next-highest remaining degrees by
-    forced swaps.  The witness always exists: x's remaining degree is at
-    least z's, while z alone is adjacent to w, so x's active neighborhood
-    cannot fit inside z's.  Every swap strictly grows the overlap between
-    w's neighborhood and its target set, so the wiring terminates.
-    """
-    while len(active) > 1:
-        dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
-        w = max(active, key=lambda v: (dact[v], -v))
-        if dact[w] == 0:
-            return
-        rest = sorted((v for v in active if v != w), key=lambda v: (-dact[v], v))
-        yield w, set(rest[: dact[w]])
-
-
-def _gale_ryser(lefts, rights):
-    """_forced_wiring's schedule toward a bipartite graph's canonical form.
-
-    Left nodes are wired once each, largest degree first (ties to the
-    smallest label), to the right nodes holding the most edges toward
-    still-pending left nodes, Gale-Ryser style.  As in _havel_hakimi, each
-    wiring is one forced swap: the target x holds at least as many pending
-    edges as the dropped z, while z alone sees w, so a pending witness
-    adjacent to x but not z always exists.  rights are the right nodes' keys
-    in adj.
-    """
-    def schedule(adj, active):
-        live = {r: len(adj[r]) for r in rights}  # edges toward pending lefts
-        for w in sorted(lefts, key=lambda l: (-len(adj[l]), l)):
-            rank = sorted(live, key=lambda r: (-live[r], r))
-            yield w, set(rank[: len(adj[w])])
-            for r in adj[w]:
-                live[r] -= 1
-
-    return schedule
 
 
 def _shrink(adj, target, pivots) -> List[Tuple]:
@@ -201,19 +172,18 @@ def _route(src, dst, lefts, rights=None) -> List[Tuple]:
     """
     if src == dst:
         return []
-    if rights is None:
-        nodes, schedule = lefts, _havel_hakimi
-    else:
+    nodes = lefts
+    if rights is not None:
         # Right node r is keyed (r,), so a left label never equals a right
         # key even when the two sides reuse a number; 1-tuples sort as their
         # labels do.
-        keys = [(r,) for r in rights]
-        nodes, schedule = [*lefts, *keys], _gale_ryser(lefts, keys)
+        rights = [(r,) for r in rights]
+        nodes = [*lefts, *rights]
         src, dst = ([(l, (r,)) for l, r in edges] for edges in (src, dst))
     adj, target = _adjacency(nodes, src), _adjacency(nodes, dst)
     records = _shrink(adj, target, frozenset(lefts))
     if adj != target:
-        fwd, bwd = _forced_wiring(adj, schedule), _forced_wiring(target, schedule)
+        fwd, bwd = _forced_wiring(adj, lefts, rights), _forced_wiring(target, lefts, rights)
         if adj != target:
             raise GraphError("both routes must reach one canonical form")
         # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
@@ -282,10 +252,12 @@ def _is_mark(state: _SwapState, j: int, v: int, i: int) -> bool:
 def _aux(state: _SwapState, j: int) -> Bipartite:
     if state.imbalance(j) != 0:
         raise GraphError(f"class {j} is not balanced")
-    members, avg = state.part[j], state.avg
-    mixed = tuple(i for i in range(1, state.delta + 1) if avg[(j, i)][0] % avg[(j, i)][1])
-    edges = frozenset((v, i) for v in members for i in mixed if _is_mark(state, j, v, i))
-    return Bipartite(left=members, right=mixed, edges=edges)
+    members, spec = state.part[j], state.spec
+    # Mixed class i -> the high count, floor(A_j(i)) + 1.
+    high = {i: num // den + 1 for i in range(1, state.delta + 1)
+            for num, den in (state.avg[(j, i)],) if num % den}
+    edges = frozenset((v, i) for v in members for i, top in high.items() if spec[v][i - 1] == top)
+    return Bipartite(left=members, right=tuple(high), edges=edges)
 
 
 def aux_bipartite(g: LabeledGraph, j: int) -> Bipartite:
@@ -357,7 +329,11 @@ def _align(cur: _SwapState, tgt: _SwapState) -> List[Rso]:
                 raise GraphError(f"class {j} is not balanced")
     swaps: List[Rso] = []
     for j in cur.part:
-        for aux_swap in bipartite_swap_path(_aux(cur, j), _aux(tgt, j)):
+        # Both side graphs keep to their sides and share margins (a balanced
+        # vertex's mark count and a mixed class's high count follow from the
+        # matrix), so bipartite_swap_path's checks are skipped; _lift checks.
+        a, b = _aux(cur, j), _aux(tgt, j)
+        for aux_swap in _route(a.edges, b.edges, a.left, a.right):
             swaps.append(_lift(cur, j, aux_swap))
     if cur.spec != tgt.spec:
         raise GraphError("alignment must pin every spectrum")

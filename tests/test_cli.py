@@ -287,6 +287,21 @@ class TestSample:
         assert code == 1
         assert "--start only applies" in capsys.readouterr().err
 
+    def test_direct_rejects_save_last(self, jdm_file, tmp_path, capsys):
+        last = tmp_path / "last.txt"
+        code = run(
+            [
+                "sample", jdm_file([[0, 0], [0, 3]]),
+                "--chain", "direct", "--steps", "5", "--seed", "1",
+                "--save-last", str(last),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --save-last only applies to chain a or b\n"
+        assert not last.exists()
+
     def test_direct_refuses_burnin_and_thin(self, jdm_file, capsys):
         argv = [
             "sample", jdm_file([[0, 0], [0, 3]]),

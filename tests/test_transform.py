@@ -9,12 +9,15 @@ import textwrap
 
 import pytest
 
+from jdmkit import transform
 from jdmkit.core import (
     GraphError,
     Jdm,
     LabeledGraph,
     Rso,
     SwapError,
+    _adjacency,
+    _exchange,
     apply_rso,
     extract_jdm,
 )
@@ -340,6 +343,97 @@ class TestShrinkingRoute:
             bipartite_case(lefts, rights, g_edges, h_edges)
 
 
+def ref_forced_wiring(adj, schedule):
+    """The canonical wiring as it stood with one schedule per graph kind,
+    kept verbatim as the reference for the single-schedule wiring."""
+    records = []
+    active = set(adj)
+    for w, targets in schedule(adj, active):
+        while True:
+            x = min((t for t in targets if t not in adj[w]), default=None)
+            if x is None:
+                break
+            z = min((u for u in adj[w] if u in active and u not in targets), default=None)
+            if z is None:
+                raise GraphError("neighborhood and target set sizes must match")
+            y = min((u for u in adj[x] if u in active and u != z and u not in adj[z]), default=None)
+            if y is None:
+                raise GraphError("missing witness for a forced swap")
+            _exchange(adj, w, y, z, x)
+            records.append((w, z, y, x))
+        active.remove(w)
+    return records
+
+
+def ref_havel_hakimi(adj, active):
+    while len(active) > 1:
+        dact = {v: sum(1 for u in adj[v] if u in active) for v in active}
+        w = max(active, key=lambda v: (dact[v], -v))
+        if dact[w] == 0:
+            return
+        rest = sorted((v for v in active if v != w), key=lambda v: (-dact[v], v))
+        yield w, set(rest[: dact[w]])
+
+
+def ref_gale_ryser(lefts, rights):
+    def schedule(adj, active):
+        live = {r: len(adj[r]) for r in rights}
+        for w in sorted(lefts, key=lambda l: (-len(adj[l]), l)):
+            rank = sorted(live, key=lambda r: (-live[r], r))
+            yield w, set(rank[: len(adj[w])])
+            for r in adj[w]:
+                live[r] -= 1
+
+    return schedule
+
+
+class TestForcedWiring:
+    """The one canonical wiring against the two schedules it replaced."""
+
+    def test_matches_the_two_schedule_reference(self):
+        rng = random.Random(2001)
+        for _ in range(150):
+            nodes = tuple(range(rng.randrange(4, 11)))
+            p = rng.uniform(0.2, 0.8)
+            edges = [e for e in itertools.combinations(nodes, 2) if rng.random() < p]
+            ref, new = _adjacency(nodes, edges), _adjacency(nodes, edges)
+            assert transform._forced_wiring(new, nodes) == ref_forced_wiring(ref, ref_havel_hakimi)
+            assert new == ref
+        for _ in range(150):
+            lefts = tuple(range(rng.randrange(2, 7)))
+            # Half the cases reuse the left labels on the right; keys keep
+            # the sides apart as _route keys them.
+            first = 0 if rng.random() < 0.5 else len(lefts)
+            rights = tuple(range(first, first + rng.randrange(2, 7)))
+            keys = [(r,) for r in rights]
+            p = rng.uniform(0.2, 0.8)
+            edges = [(l, k) for l in lefts for k in keys if rng.random() < p]
+            nodes = [*lefts, *keys]
+            ref, new = _adjacency(nodes, edges), _adjacency(nodes, edges)
+            assert transform._forced_wiring(new, lefts, keys) == ref_forced_wiring(
+                ref, ref_gale_ryser(lefts, keys)
+            )
+            assert new == ref
+
+    def test_labels_need_only_an_order(self):
+        # The stuck bipartite pair with letters for labels takes the same
+        # route, relabelled, as with the integers test_finish_records_are_pinned pins.
+        g_edges, h_edges = TestShrinkingRoute.STUCK_BIPARTITE
+        lefts, rights = "abcde", "pqrstuv"
+
+        def path(left, right):
+            b1, b2 = (
+                Bipartite(tuple(left), tuple(right), frozenset((left[l], right[r]) for l, r in es))
+                for es in (g_edges, h_edges)
+            )
+            return bipartite_swap_path(b1, b2)
+
+        numbered = path(range(5), range(7))
+        assert path(lefts, rights) == [
+            (lefts[a], rights[c], lefts[b], rights[d]) for a, c, b, d in numbered
+        ]
+
+
 class TestAuxBipartite:
     def test_pendant_side_graph(self, pendant):
         bal, _ = balance(pendant)
@@ -536,15 +630,19 @@ class TestRsoPath:
     @pytest.mark.parametrize(
         "sabotage, message",
         [
-            # A simple schedule that wires nothing leaves the two graphs of
+            # A canonical wiring that wires nothing leaves the two graphs of
             # class pair (2, 2), the cycles, apart, and only the finish's
             # own check refuses that.
             (
-                "transform._havel_hakimi = lambda adj, active: iter(())",
+                "transform._forced_wiring = lambda adj, lefts, rights=None: []",
                 "both routes must reach one canonical form",
             ),
-            # Side-graph paths that never move leave class 3's spectra apart.
-            ("transform.bipartite_swap_path = lambda b1, b2: []", "alignment must pin every spectrum"),
+            # Side graphs without marks route nothing, which leaves class
+            # 3's spectra apart.
+            (
+                "transform._aux = lambda state, j: transform.Bipartite(state.part[j], (), frozenset())",
+                "alignment must pin every spectrum",
+            ),
         ],
     )
     def test_invariants_survive_optimized_mode(self, pendant, sabotage, message, optimized_stdout):

@@ -38,10 +38,10 @@ def main(sizes=SIZES) -> None:
     wirings = 0
     forced_wiring = transform._forced_wiring
 
-    def counted(adj, schedule):
+    def counted(*args):
         nonlocal wirings
         wirings += 1
-        return forced_wiring(adj, schedule)
+        return forced_wiring(*args)
 
     with mock.patch.object(transform, "_forced_wiring", counted):
         for n in sizes:
