@@ -66,6 +66,13 @@ class Jdm:
                     )
         self._rows = mat
 
+    @classmethod
+    def _counted(cls, rows: Iterable[Iterable[int]]) -> "Jdm":
+        """A matrix of counts, non-negative ints symmetric by construction; no check."""
+        j = cls.__new__(cls)
+        j._rows = tuple(map(tuple, rows))
+        return j
+
     @property
     def k(self) -> int:
         """Number of degree classes (matrix dimension)."""
@@ -108,16 +115,16 @@ class LabeledGraph:
     The partition is stored rather than recomputed so that intermediate
     construction states, where degree(v) may differ from class(v), are
     representable.  ``is_realization`` reports whether they agree everywhere.
+    The constructor checks every label, class and edge; internal rebuilds
+    from parts already proved valid use ``_proved``, which checks nothing.
     """
 
-    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta")
+    __slots__ = ("_edges", "_adj", "_classes", "_vertices", "_delta", "_fp")
 
     def __init__(self, edges: Iterable[Tuple[int, int]], classes: Mapping[int, int]):
         cls: Dict[int, int] = {}
         for v, c in dict(classes).items():
-            vi = _as_int(v, "vertex label")
-            if vi < 0:
-                raise GraphError(f"vertex label {v!r} must be non-negative")
+            vi = _label(v)
             ci = _as_int(c, f"class of vertex {v}")
             if ci < 1:
                 raise GraphError(f"class of vertex {v} must be at least 1")
@@ -133,11 +140,21 @@ class LabeledGraph:
             if key in edge_set:
                 raise GraphError(f"duplicate edge {key[0]}-{key[1]}")
             edge_set.add(key)
-        self._classes = cls
-        self._edges = frozenset(edge_set)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in _adjacency(cls, edge_set).items()}
-        self._vertices = tuple(sorted(cls))
-        self._delta = max(cls.values(), default=0)
+        self._derive(frozenset(edge_set), cls)
+
+    @classmethod
+    def _proved(cls, edges: frozenset, classes: Dict[int, int]) -> "LabeledGraph":
+        """The graph over u < v edges and a label -> class map already proved
+        valid (as the constructor checks them), built without checking again."""
+        g = cls.__new__(cls)
+        g._derive(edges, classes)
+        return g
+
+    def _derive(self, edges: frozenset, classes: Dict[int, int]) -> None:
+        self._classes, self._edges, self._fp = classes, edges, None
+        self._adj = {v: tuple(sorted(ns)) for v, ns in _adjacency(classes, edges).items()}
+        self._vertices = tuple(sorted(classes))
+        self._delta = max(classes.values(), default=0)
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[int, int]]) -> "LabeledGraph":
@@ -207,10 +224,12 @@ class LabeledGraph:
         return all(len(self._adj[v]) == c for v, c in self._classes.items())
 
     def fingerprint(self) -> str:
-        """Stable short hash of the labeled classes and edge set."""
-        text = ";".join(f"{v}:{self._classes[v]}" for v in self._vertices)
-        text += "|" + ";".join(f"{u}-{v}" for u, v in sorted(self._edges))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        """Stable short hash of the labeled classes and edge set, computed once."""
+        if self._fp is None:
+            text = ";".join(f"{v}:{self._classes[v]}" for v in self._vertices)
+            text += "|" + ";".join(f"{u}-{v}" for u, v in sorted(self._edges))
+            self._fp = hashlib.sha256(text.encode()).hexdigest()[:16]
+        return self._fp
 
     def rewire(self, remove: Iterable[Tuple[int, int]], add: Iterable[Tuple[int, int]]) -> "LabeledGraph":
         """New graph with the same classes, some edges removed and others added.
@@ -349,7 +368,8 @@ def _pair_matrix(g: LabeledGraph) -> Jdm:
         rows[i][j] += 1
         if i != j:
             rows[j][i] += 1
-    return Jdm(rows)
+    # proof: each entry counts edges, and an off-diagonal edge counts on both sides.
+    return Jdm._counted(rows)
 
 
 def vertex_counts(j: Jdm) -> Tuple[Fraction, ...]:
@@ -407,11 +427,20 @@ def _class_sizes(j: Jdm) -> List[int]:
     return sizes
 
 
+def _label(v) -> int:
+    """v as a vertex label: a non-negative integer, or GraphError."""
+    vi = _as_int(v, "vertex label")
+    if vi < 0:
+        raise GraphError(f"vertex label {v!r} must be non-negative")
+    return vi
+
+
 def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
-    """Map sorted labels (default 0..n-1) to classes, smallest class first."""
+    """Map sorted labels (default 0..n-1), each checked as LabeledGraph checks
+    it, to classes, smallest class first."""
     sizes = _class_sizes(j)
     total = sum(sizes)
-    labels = sorted(range(total) if labels is None else labels)
+    labels = sorted(range(total) if labels is None else map(_label, labels))
     if len(labels) != total or len(set(labels)) != total:
         raise GraphError(f"need exactly {total} distinct labels")
     classes: Dict[int, int] = {}
@@ -461,14 +490,16 @@ class _SwapState:
     changes the matrix), adjacency sets, each vertex's spectrum and, per
     class j and component i, the tally of floor(|A_j(i) - s_i(v)|) over
     class j, with its sum over i per class.  A swap touches the spectra of
-    its two pivots only, so it updates all of this in O(1).
+    its two pivots only, so it updates all of this in O(1).  It checks only
+    that g is a realization (avg, if given, is g's matrix's table); every swap
+    passes Rso's check, so graph() rebuilds without checking again.
     """
 
     __slots__ = ("jdm", "classes", "adj", "part", "delta", "spec", "avg", "dev", "imb")
 
-    def __init__(self, g: LabeledGraph):
+    def __init__(self, g: LabeledGraph, avg: Optional[Dict] = None):
         self.jdm = extract_jdm(g)
-        self.avg = _average_table(self.jdm)
+        self.avg = _average_table(self.jdm) if avg is None else avg
         self.classes = classes = g._classes
         self.adj = {v: set(ns) for v, ns in g._adj.items()}
         self.part = g.partition()
@@ -529,7 +560,8 @@ class _SwapState:
         return [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
 
     def graph(self) -> LabeledGraph:
-        return LabeledGraph(self.edges(), self.classes)
+        # proof: the state began as a checked graph and each swap passed Rso._check.
+        return LabeledGraph._proved(frozenset(self.edges()), self.classes)
 
 
 def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:
@@ -537,7 +569,6 @@ def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:
 
     Vertices left with degree zero are dropped, so the result is a realization.
     """
-    if v not in g.classes():
-        raise GraphError(f"unknown vertex {v}")
+    g._require(v)
     edges = [(a, b) for a, b in g.edges() if v not in (a, b)]
     return LabeledGraph.from_edges(edges)

@@ -79,8 +79,7 @@ def loads_graph(text: str) -> LabeledGraph:
     body = [(idx, p) for idx, ln in enumerate(lines[1:], start=2) if (p := ln.split())]
     if len(body) != m:
         raise FileFormatError(f"expected {m} edge lines", len(lines))
-    edges = []
-    seen = set()
+    edges, degrees = set(), {}
     for idx, parts in body:
         try:
             u, v = map(int, parts)
@@ -94,14 +93,15 @@ def loads_graph(text: str) -> LabeledGraph:
         if u < 0 or v < 0:
             raise FileFormatError("vertex labels must be non-negative", idx)
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in edges:
             raise FileFormatError(f"duplicate edge {u} {v}", idx)
-        seen.add(key)
-        edges.append(key)
-    g = LabeledGraph.from_edges(edges)
-    if g.n != n:
-        raise FileFormatError(f"header says {n} vertices but edges name {g.n}", 1)
-    return g
+        edges.add(key)
+        degrees[u] = degrees.get(u, 0) + 1
+        degrees[v] = degrees.get(v, 0) + 1
+    if len(degrees) != n:
+        raise FileFormatError(f"header says {n} vertices but edges name {len(degrees)}", 1)
+    # proof: each edge line was checked above: two distinct non-negative ints, no repeat.
+    return LabeledGraph._proved(frozenset(edges), degrees)
 
 
 def save_graph(g: LabeledGraph, path: str) -> None:

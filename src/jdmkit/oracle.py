@@ -48,48 +48,38 @@ def enumerate_realizations(
         raise GraphError(f"{total} vertices exceeds the limit of {max_vertices}")
     classes = _assign_labels(j, labels)
     part = _partition(classes)
-    pairs = [
-        (i, l)
-        for i in range(1, j.k + 1)
-        for l in range(i + 1, j.k + 1)
-        if j.entry(i, l) > 0
-    ]
-    pairs += [(i, i) for i in range(1, j.k + 1) if j.entry(i, i) > 0]
+    # Per pair, planned once: its quota, its cells (labels ascend with the
+    # class, so each cell is u < w) and, from each pair on, the most edges
+    # the pairs left could still give each vertex.
+    plan = [(i, l, j.entry(i, l), [(u, w) for u in part[i] for w in part[l]])
+            for i in range(1, j.k + 1) for l in range(i + 1, j.k + 1) if j.entry(i, l) > 0]
+    plan += [(i, i, j.entry(i, i), list(itertools.combinations(part[i], 2)))
+             for i in range(1, j.k + 1) if j.entry(i, i) > 0]
+    reach = [dict.fromkeys(classes, 0)]
+    for i, l, quota, _ in reversed(plan):
+        reach.insert(0, dict(reach[0]))
+        for a, b in {(i, l), (l, i)}:
+            for v in part[a]:
+                reach[0][v] += min(quota, len(part[b]) - (a == b))
     caps = dict(classes)
     edges: List[Tuple[int, int]] = []
     results: List[LabeledGraph] = []
 
     def feasible(start: int) -> bool:
         alive = {c: sum(1 for v in part[c] if caps[v] > 0) for c in part}
-        supply = {v: 0 for v in caps}
-        for i, l in pairs[start:]:
-            quota = j.entry(i, l)
-            if i == l:
-                if quota > alive[i] * (alive[i] - 1) // 2:
-                    return False
-                for v in part[i]:
-                    supply[v] += min(quota, len(part[i]) - 1)
-            else:
-                if quota > alive[i] * alive[l]:
-                    return False
-                for v in part[i]:
-                    supply[v] += min(quota, len(part[l]))
-                for v in part[l]:
-                    supply[v] += min(quota, len(part[i]))
-        return all(caps[v] <= supply[v] for v in caps)
+        for i, l, quota, _ in plan[start:]:
+            if quota > (alive[i] * (alive[i] - 1) // 2 if i == l else alive[i] * alive[l]):
+                return False
+        return all(caps[v] <= reach[start][v] for v in caps)
 
     def place(start: int) -> bool:
-        if start == len(pairs):
-            results.append(LabeledGraph(edges, classes))
+        if start == len(plan):
+            # proof: cells are distinct u < w pairs of _assign_labels's checked labels.
+            results.append(LabeledGraph._proved(frozenset(edges), classes))
             return first_only
         if not feasible(start):
             return False
-        i, l = pairs[start]
-        quota = j.entry(i, l)
-        if i == l:
-            cells = list(itertools.combinations(part[i], 2))
-        else:
-            cells = [(u, w) for u in part[i] for w in part[l]]
+        quota, cells = plan[start][2:]
 
         def pick(idx: int, remaining: int) -> bool:
             if remaining == 0:

@@ -328,7 +328,9 @@ def _align(cur: _SwapState, tgt: _SwapState) -> List[Rso]:
             if side.imbalance(j) != 0:
                 raise GraphError(f"class {j} is not balanced")
     swaps: List[Rso] = []
-    for j in cur.part:
+    for j, members in cur.part.items():
+        if all(cur.spec[v] == tgt.spec[v] for v in members):
+            continue  # equal spectra, equal side graphs: _route gives no swap
         # Both side graphs keep to their sides and share margins (a balanced
         # vertex's mark count and a mixed class's high count follow from the
         # matrix), so bipartite_swap_path's checks are skipped; _lift checks.
@@ -367,7 +369,8 @@ class SwapSequence:
 
 
 def _problem_states(g: LabeledGraph, h: LabeledGraph) -> Tuple[_SwapState, _SwapState]:
-    cur, tgt = _SwapState(g), _SwapState(h)
+    cur = _SwapState(g)
+    tgt = _SwapState(h, cur.avg)  # swaps alone read avg, and none runs unless the matrices match
     if cur.jdm != tgt.jdm:
         raise GraphError("matrices differ")
     if cur.classes != tgt.classes:

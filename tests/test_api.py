@@ -88,3 +88,19 @@ def test_package_has_no_unused_imports():
             f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used
         ]
     assert found == []
+
+
+def test_unchecked_constructors_state_their_proof():
+    # LabeledGraph._proved and Jdm._counted build without checking, so each
+    # use states on the line above it why its input already holds.
+    uses, missing = [], []
+    for path in sorted(pathlib.Path(jdmkit.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in ("_proved", "_counted"):
+                uses.append(node.attr)
+                if not lines[node.lineno - 2].strip().startswith("# proof:"):
+                    missing.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert set(uses) == {"_proved", "_counted"}
+    assert missing == []

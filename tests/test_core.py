@@ -1,6 +1,7 @@
 """Matrix and graph primitives: validation, swaps, extraction, deletion."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,9 @@ from jdmkit.core import (
     extract_jdm,
     vertex_counts,
 )
+from jdmkit.graphic import initial_candidate
+from jdmkit.oracle import enumerate_realizations, metagraph_connected
+from jdmkit.sampler import build_model
 
 
 class TestJdm:
@@ -356,3 +360,31 @@ class TestRewireDifferential:
         assert type(info.value) is GraphError
         assert str(info.value) == message
         assert self.snapshot(six_cycle) == before
+
+
+class TestCallerLabels:
+    # Labels a caller hands to a matrix-level call are checked where they are
+    # assigned to classes, as LabeledGraph checks them and with its messages.
+    @pytest.mark.parametrize(
+        "call", [enumerate_realizations, metagraph_connected, initial_candidate, build_model]
+    )
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["a", 1], "vertex label must be an integer, got 'a'"),
+            ([0.5, 1], "vertex label must be an integer, got 0.5"),
+            ([-3, 1], "vertex label -3 must be non-negative"),
+        ],
+    )
+    def test_bad_labels_raise_graph_error(self, call, labels, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            call(Jdm([[1]]), labels=labels)
+
+    def test_enumeration_refuses_a_negative_label(self):
+        with pytest.raises(GraphError, match="vertex label -1 must be non-negative"):
+            enumerate_realizations(Jdm([[1]]), labels=[-1, 5])
+
+    def test_integral_labels_become_ints(self):
+        (g,) = enumerate_realizations(Jdm([[1]]), labels=[5.0, 2])
+        assert g.classes() == {2: 1, 5: 1}
+        assert all(type(v) is int for v in g.vertices)

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
-from jdmkit.core import GraphError, Jdm, LabeledGraph, Rso, SwapError, apply_rso, extract_jdm
+from jdmkit.core import (
+    GraphError, Jdm, LabeledGraph, Rso, SwapError, apply_rso, extract_jdm, vertex_counts,
+)
+from jdmkit.core import _assign_labels, _partition
 from jdmkit.graphic import check_graphical
 from jdmkit.oracle import (
     _swap_neighbors,
@@ -151,3 +154,87 @@ def test_mask_enumeration_agrees_with_the_oracle():
             assert check_graphical(j).verdict
             space = enumerate_realizations(j)
             assert {g.edge_set() for g in space} == graphs
+
+
+def per_placement_enumeration(j, first_only):
+    """Reference search that plans nothing ahead: each placement rebuilds its
+    pair's cells and the feasibility supplies, and each realization goes
+    through LabeledGraph's checking constructor."""
+    classes = _assign_labels(j, None)
+    part = _partition(classes)
+    pairs = [(i, l) for i in range(1, j.k + 1) for l in range(i + 1, j.k + 1) if j.entry(i, l) > 0]
+    pairs += [(i, i) for i in range(1, j.k + 1) if j.entry(i, i) > 0]
+    caps = dict(classes)
+    edges, results = [], []
+
+    def feasible(start):
+        alive = {c: sum(1 for v in part[c] if caps[v] > 0) for c in part}
+        supply = {v: 0 for v in caps}
+        for i, l in pairs[start:]:
+            quota = j.entry(i, l)
+            if i == l:
+                if quota > alive[i] * (alive[i] - 1) // 2:
+                    return False
+                for v in part[i]:
+                    supply[v] += min(quota, len(part[i]) - 1)
+            else:
+                if quota > alive[i] * alive[l]:
+                    return False
+                for v in part[i]:
+                    supply[v] += min(quota, len(part[l]))
+                for v in part[l]:
+                    supply[v] += min(quota, len(part[i]))
+        return all(caps[v] <= supply[v] for v in caps)
+
+    def place(start):
+        if start == len(pairs):
+            results.append(LabeledGraph(edges, classes))
+            return first_only
+        if not feasible(start):
+            return False
+        i, l = pairs[start]
+        if i == l:
+            cells = list(itertools.combinations(part[i], 2))
+        else:
+            cells = [(u, w) for u in part[i] for w in part[l]]
+
+        def pick(idx, remaining):
+            if remaining == 0:
+                return place(start + 1)
+            for at in range(idx, len(cells) - remaining + 1):
+                u, w = cells[at]
+                if caps[u] < 1 or caps[w] < 1:
+                    continue
+                caps[u] -= 1
+                caps[w] -= 1
+                edges.append((u, w))
+                stop = pick(at + 1, remaining - 1)
+                edges.pop()
+                caps[u] += 1
+                caps[w] += 1
+                if stop:
+                    return True
+            return False
+
+        return pick(0, j.entry(i, l))
+
+    place(0)
+    return results
+
+
+def test_enumeration_order_matches_the_per_placement_search(symmetric_matrices):
+    matrices = compared = 0
+    for k in (1, 2, 3):
+        for j in symmetric_matrices(k, 4):
+            counts = vertex_counts(j)
+            if any(c.denominator != 1 for c in counts) or sum(counts) > 7:
+                continue
+            matrices += 1
+            for first_only in (False, True):
+                got = enumerate_realizations(j, first_only=first_only, max_vertices=7)
+                want = per_placement_enumeration(j, first_only)
+                assert [(g.classes(), g.edges()) for g in got] == [
+                    (g.classes(), g.edges()) for g in want
+                ], j
+                compared += len(want)
+    assert (matrices, compared) == (195, 2525)

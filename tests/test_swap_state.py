@@ -6,13 +6,16 @@ imbalance and per-component deviation tallies must equal what all_spectra
 and the Fraction class averages give on the materialized graph.
 """
 
+import hashlib
 import itertools
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from jdmkit import core
 from jdmkit.balance import balance, class_averages
 from jdmkit.core import Jdm, LabeledGraph, _SwapState, all_spectra, extract_jdm
 from jdmkit.oracle import enumerate_realizations
@@ -129,30 +132,36 @@ def test_random_pool_pairs(checked):
 
 
 def test_one_state_per_side_per_path(monkeypatch):
-    # rso_path builds one swap state per side, compares their matrices to
-    # check the problem, then balances, aligns, routes and unbalances on
-    # them; only the landing check builds a graph.
+    # rso_path builds one swap state per side, counting each side's matrix
+    # once and comparing the two to check the problem, then balances, aligns,
+    # routes and unbalances on them; only the landing check builds a graph.
+    # With replay after it, each input graph is hashed at most once: the
+    # third hash is of the graph replay lands on.
     pairs = pool_pairs(random.Random(2027), 24)
     calls = Counter()
 
-    def count(cls, name):
-        init = cls.__init__
+    def count(owner, attr, name):
+        inner = getattr(owner, attr)
 
-        def counted(self, *args, **kwargs):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            init(self, *args, **kwargs)
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(owner, attr, counted)
 
-    count(_SwapState, "state")
-    count(Jdm, "jdm")
-    count(LabeledGraph, "graph")
+    count(_SwapState, "__init__", "state")
+    count(core, "_pair_matrix", "matrix")
+    count(LabeledGraph, "_derive", "graph")
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=hashlib.sha256))
+    count(core.hashlib, "sha256", "hash")
     for g, h in pairs:
         calls.clear()
-        rso_path(g, h)
+        seq = rso_path(g, h)
         assert calls["state"] == 2, calls
-        assert calls["jdm"] == 2, calls
+        assert calls["matrix"] == 2, calls
         assert calls["graph"] <= 1, calls
+        assert seq.replay(g) == h
+        assert calls["hash"] <= 3, calls
 
 
 def test_ladder_pair(checked):
