@@ -60,10 +60,10 @@ def deviation(g: LabeledGraph, v: int, i: int) -> int:
 
     Zero exactly when the count is the floor or ceiling of the average.
     """
-    _require_realization(g)
+    jdm = extract_jdm(g)
     if not 1 <= i <= g.delta:
         raise GraphError(f"class {i} out of range")
-    num, den = _average_table(extract_jdm(g))[(g.class_of(v), i)]
+    num, den = _average_table(jdm)[(g.class_of(v), i)]
     return _floor_dev(num, den, g.spectrum(v)[i - 1])
 
 
@@ -141,7 +141,8 @@ def _balance(state: _SwapState) -> List[Rso]:
 
 
 def balance(g: LabeledGraph) -> Tuple[LabeledGraph, List[Rso]]:
-    """Drive every class's imbalance to zero; at most sum-of-imbalances swaps."""
+    """Drive every class's imbalance to zero; at most sum-of-imbalances swaps.
+    With no swap made, the graph returned equals g but is a new object."""
     state = _SwapState(g)
     swaps = _balance(state)
-    return (state.graph() if swaps else g), swaps
+    return state.graph(), swaps

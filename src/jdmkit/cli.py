@@ -176,11 +176,6 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _identity_configuration(model) -> Configuration:
-    match = tuple(tuple(range(n)) for n in model.component_sizes())
-    return Configuration(model=model, match=match)
-
-
 def _cmd_sample(args) -> int:
     if args.seed is None and not args.entropy:
         raise GraphError("randomized command: pass --seed N or opt in with --entropy")
@@ -235,7 +230,7 @@ def _cmd_sample(args) -> int:
     elif args.chain == "b":
         start = embed_realization(construct_realization(j), model)
     else:
-        start = _identity_configuration(model)
+        start = Configuration(model, tuple(tuple(range(n)) for n in model.component_sizes()))
     runner = ChainRunner(model, start, args.chain, rng)
     # pair_counts never holds a zero, so map equality is fiber-key equality.
     start_counts = dict(runner.fiber_key())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -437,9 +438,11 @@ def _label(v) -> int:
 
 def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
     """Map sorted labels (default 0..n-1), each checked as LabeledGraph checks
-    it, to classes, smallest class first."""
+    it, to classes, smallest class first; a total no list can index is refused."""
     sizes = _class_sizes(j)
     total = sum(sizes)
+    if total > sys.maxsize:
+        raise GraphError(f"matrix needs {total} vertices, too many to label")
     labels = sorted(range(total) if labels is None else map(_label, labels))
     if len(labels) != total or len(set(labels)) != total:
         raise GraphError(f"need exactly {total} distinct labels")
@@ -491,15 +494,15 @@ class _SwapState:
     class j and component i, the tally of floor(|A_j(i) - s_i(v)|) over
     class j, with its sum over i per class.  A swap touches the spectra of
     its two pivots only, so it updates all of this in O(1).  It checks only
-    that g is a realization (avg, if given, is g's matrix's table); every swap
-    passes Rso's check, so graph() rebuilds without checking again.
+    that g is a realization; every swap passes Rso's check, so graph()
+    rebuilds without checking again, into a graph equal to g when no swap ran.
     """
 
     __slots__ = ("jdm", "classes", "adj", "part", "delta", "spec", "avg", "dev", "imb")
 
-    def __init__(self, g: LabeledGraph, avg: Optional[Dict] = None):
+    def __init__(self, g: LabeledGraph):
         self.jdm = extract_jdm(g)
-        self.avg = _average_table(self.jdm) if avg is None else avg
+        self.avg = _average_table(self.jdm)
         self.classes = classes = g._classes
         self.adj = {v: set(ns) for v, ns in g._adj.items()}
         self.part = g.partition()

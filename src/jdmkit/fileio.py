@@ -84,10 +84,7 @@ def loads_graph(text: str) -> LabeledGraph:
         try:
             u, v = map(int, parts)
         except ValueError:
-            ln = lines[idx - 1]
-            if len(parts) != 2:
-                raise FileFormatError(f"expected 2 integers, got {ln!r}", idx) from None
-            raise FileFormatError(f"expected integers, got {ln!r}", idx) from None
+            u, v = _ints(lines[idx - 1], 2, idx)  # raises, naming what the line lacks
         if u == v:
             raise FileFormatError(f"loop {u} {v} not allowed", idx)
         if u < 0 or v < 0:
@@ -126,16 +123,11 @@ def loads_jdm(text: str) -> Jdm:
     (k,) = _ints(lines[0], 1, 1)
     if k < 0:
         raise FileFormatError("matrix size must be non-negative", 1)
-    rows = []
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(idx, ln) for idx, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != k:
         raise FileFormatError(f"expected {k} matrix rows", len(lines))
-    for idx, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        rows.append(_ints(ln, k, idx))
     try:
-        return Jdm(rows)
+        return Jdm([_ints(ln, k, idx) for idx, ln in body])
     except GraphError as exc:
         raise FileFormatError(str(exc)) from exc
 

@@ -102,7 +102,7 @@ class MultiGraphRealization:
         return tuple(sorted(self.pair_counts.items()))
 
     def as_labeled_graph(self) -> LabeledGraph:
-        if not self.is_simple:
+        if _excess(self.pair_counts):
             raise GraphError("multigraph has loops or parallel edges")
         return LabeledGraph(list(self.pair_counts), self.classes)
 

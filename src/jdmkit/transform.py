@@ -239,23 +239,16 @@ def _class_state(g: LabeledGraph, j: int) -> _SwapState:
     return _SwapState(g)
 
 
-def _is_mark(state: _SwapState, j: int, v: int, i: int) -> bool:
-    """Whether class-j vertex v sits on the high side of split class i."""
-    num, den = state.avg.get((j, i), (0, 1))
-    return (
-        state.classes.get(v) == j
-        and num % den != 0
-        and state.spec[v][i - 1] == num // den + 1
-    )
+def _high(state: _SwapState, j: int) -> dict:
+    """Nonempty class j's mixed classes i, each mapped to the high count floor(A_j(i)) + 1."""
+    return {i: num // den + 1 for i in range(1, state.delta + 1)
+            for num, den in (state.avg[(j, i)],) if num % den}
 
 
 def _aux(state: _SwapState, j: int) -> Bipartite:
     if state.imbalance(j) != 0:
         raise GraphError(f"class {j} is not balanced")
-    members, spec = state.part[j], state.spec
-    # Mixed class i -> the high count, floor(A_j(i)) + 1.
-    high = {i: num // den + 1 for i in range(1, state.delta + 1)
-            for num, den in (state.avg[(j, i)],) if num % den}
+    members, spec, high = state.part[j], state.spec, _high(state, j)
     edges = frozenset((v, i) for v in members for i, top in high.items() if spec[v][i - 1] == top)
     return Bipartite(left=members, right=tuple(high), edges=edges)
 
@@ -278,9 +271,12 @@ def _lift(state: _SwapState, j: int, aux_swap: Tuple[int, int, int, int]) -> Rso
         raise GraphError(f"class {j} is not balanced")
     if v == w or i == k:
         raise GraphError("swap nodes must be distinct")
-    if not (_is_mark(state, j, v, i) and _is_mark(state, j, w, k)):
+    classes, spec, high = state.classes, state.spec, _high(state, j)
+    vi, wk, vk, wi = (classes.get(u) == j and c in high and spec[u][c - 1] == high[c]
+                      for u, c in ((v, i), (w, k), (v, k), (w, i)))
+    if not (vi and wk):
         raise GraphError("swap requires marks (v,i) and (w,k) to be present")
-    if _is_mark(state, j, v, k) or _is_mark(state, j, w, i):
+    if vk or wi:
         raise GraphError("swap requires marks (v,k) and (w,i) to be absent")
     x = state.movable(v, i, w)
     if x is None:
@@ -315,10 +311,11 @@ def spectrum_align(
 
     Both inputs must be balanced realizations of one matrix on one partition.
     Aligning class j moves only class-j spectra, so earlier classes stay put.
+    With no swap made, the graph returned equals g but is a new object.
     """
     cur, tgt = _problem_states(g, h)
     swaps = _align(cur, tgt)
-    return (cur.graph() if swaps else g), swaps
+    return cur.graph(), swaps
 
 
 def _align(cur: _SwapState, tgt: _SwapState) -> List[Rso]:
@@ -354,15 +351,14 @@ class SwapSequence:
         return len(self.swaps)
 
     def replay(self, g: LabeledGraph) -> LabeledGraph:
-        """Apply every swap in order, checking both endpoint fingerprints."""
+        """Apply every swap in order to realization g, checking both endpoint
+        fingerprints; with no swaps the graph returned equals g, a new object."""
         if g.fingerprint() != self.source_fingerprint:
             raise GraphError("graph does not match the sequence's source")
-        cur = g
-        if self.swaps:
-            state = _SwapState(g)
-            for r in self.swaps:
-                state.swap(r)
-            cur = state.graph()
+        state = _SwapState(g)
+        for r in self.swaps:
+            state.swap(r)
+        cur = state.graph()
         if cur.fingerprint() != self.target_fingerprint:
             raise GraphError("replay did not land on the recorded target")
         return cur
@@ -370,7 +366,7 @@ class SwapSequence:
 
 def _problem_states(g: LabeledGraph, h: LabeledGraph) -> Tuple[_SwapState, _SwapState]:
     cur = _SwapState(g)
-    tgt = _SwapState(h, cur.avg)  # swaps alone read avg, and none runs unless the matrices match
+    tgt = _SwapState(h)
     if cur.jdm != tgt.jdm:
         raise GraphError("matrices differ")
     if cur.classes != tgt.classes:

@@ -90,6 +90,37 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def test_package_has_no_unused_private_code():
+    # Every module-level _name function or class and every non-dunder _name
+    # method is referenced somewhere in the package outside its own definition.
+    defs, refs = [], []
+    for path in sorted(pathlib.Path(jdmkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            inner = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *inner]:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_") and not (
+                    d.name.startswith("__") and d.name.endswith("__")
+                ):
+                    defs.append((path.name, d))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                refs.append((path.name, node.lineno, node.name))
+    unused = [
+        f"{name}:{d.lineno} {d.name}"
+        for name, d in defs
+        if not any(
+            ref == d.name and not (file == name and d.lineno <= line <= d.end_lineno)
+            for file, line, ref in refs
+        )
+    ]
+    assert unused == []
+
+
 def test_unchecked_constructors_state_their_proof():
     # LabeledGraph._proved and Jdm._counted build without checking, so each
     # use states on the line above it why its input already holds.

@@ -603,6 +603,27 @@ class TestErrorHandling:
         out = python_run(["-c", script, "construct", str(path), "--out", str(tmp_path / "g.txt")])
         assert (out.returncode, out.stdout, out.stderr) == (1, "", "error: out of memory\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "{m}", "--out", "{o}"],
+            ["census", "{m}"],
+            ["sample", "{m}", "--chain", "a", "--steps", "1", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_vertex_total_past_any_list_is_a_domain_error(self, argv, tmp_path, python_run):
+        # 10^30 class-1 edges need 2 * 10^30 vertices; labelling refuses them
+        # before anything is allocated.
+        (tmp_path / "m").write_text("1\n1000000000000000000000000000000\n")
+        paths = {name: str(tmp_path / name) for name in ("m", "o")}
+        script = "import sys\nfrom jdmkit.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+        out = python_run(["-c", script, *(arg.format(**paths) for arg in argv)])
+        assert "Traceback" not in out.stderr
+        assert (out.returncode, out.stdout, out.stderr) == (
+            1, "", f"error: matrix needs {2 * 10**30} vertices, too many to label\n"
+        )
+
     def test_missing_file_is_an_io_error(self, capsys):
         assert run(["check", "/nonexistent/matrix.txt"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from jdmkit.core import (
     extract_jdm,
     vertex_counts,
 )
-from jdmkit.graphic import initial_candidate
+from jdmkit.graphic import construct_realization, initial_candidate
 from jdmkit.oracle import enumerate_realizations, metagraph_connected
 from jdmkit.sampler import build_model
 
@@ -379,6 +379,12 @@ class TestCallerLabels:
     def test_bad_labels_raise_graph_error(self, call, labels, message):
         with pytest.raises(GraphError, match=re.escape(message)):
             call(Jdm([[1]]), labels=labels)
+
+    @pytest.mark.parametrize("call", [construct_realization, build_model])
+    def test_a_vertex_total_no_list_can_index_is_refused(self, call):
+        # 10^30 class-1 edges need 2 * 10^30 vertices, past any list length.
+        with pytest.raises(GraphError, match=f"matrix needs {2 * 10**30} vertices, too many to label"):
+            call(Jdm([[10**30]]))
 
     def test_enumeration_refuses_a_negative_label(self):
         with pytest.raises(GraphError, match="vertex label -1 must be non-negative"):

@@ -14,6 +14,7 @@ from jdmkit.graphic import construct_realization
 from jdmkit.sampler import (
     ChainRunner,
     Configuration,
+    MultiGraphRealization,
     autocorrelation,
     build_model,
     chain_a_step,
@@ -82,6 +83,14 @@ class TestConfigurationsAndMultigraphs:
         assert mg.fiber_key() == (((0, 0), 1), ((1, 1), 1), ((2, 2), 1))
         with pytest.raises(GraphError, match="loops or parallel"):
             mg.as_labeled_graph()
+
+    def test_lifting_decides_simplicity_from_the_counts(self):
+        # The stored flag may disagree with the counts; the counts decide.
+        doubled = MultiGraphRealization({0: 2, 1: 2, 2: 2}, {(0, 1): 2, (1, 2): 1, (0, 2): 1}, True)
+        with pytest.raises(GraphError, match="multigraph has loops or parallel edges"):
+            doubled.as_labeled_graph()
+        triangle = MultiGraphRealization({0: 2, 1: 2, 2: 2}, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, False)
+        assert triangle.as_labeled_graph() == LabeledGraph.from_edges([(0, 1), (1, 2), (0, 2)])
 
     def test_key_round_trip(self):
         model = build_model(Jdm([[0, 0], [0, 3]]))

@@ -17,9 +17,9 @@ import pytest
 
 from jdmkit import core
 from jdmkit.balance import balance, class_averages
-from jdmkit.core import Jdm, LabeledGraph, _SwapState, all_spectra, extract_jdm
+from jdmkit.core import Jdm, LabeledGraph, NotRealizationError, _SwapState, all_spectra, extract_jdm
 from jdmkit.oracle import enumerate_realizations
-from jdmkit.transform import rso_path, spectrum_align
+from jdmkit.transform import SwapSequence, rso_path, spectrum_align
 
 PENDANT_OTHER = [(0, 3), (1, 3), (2, 7), (3, 4), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)]
 
@@ -85,6 +85,20 @@ def gnp_walk_pair(n, rng):
 def test_fresh_state_matches_recount(pendant):
     recount(_SwapState(pendant))
     recount(_SwapState(LabeledGraph.from_edges(PENDANT_OTHER)))
+
+
+def test_wrappers_return_the_state_graph_even_with_no_swap(pendant):
+    # balance, spectrum_align and replay each return their state's graph:
+    # equal to their input, but a new object, when no swap is made.
+    bal, _ = balance(pendant)
+    fp = bal.fingerprint()
+    for out, swaps in (balance(bal), spectrum_align(bal, bal), (SwapSequence((), fp, fp).replay(bal), [])):
+        assert swaps == [] and out == bal and out is not bal
+    # Replay's one state takes realizations only, with or without swaps.
+    odd = LabeledGraph([(0, 1)], {0: 1, 1: 2})
+    fp = odd.fingerprint()
+    with pytest.raises(NotRealizationError):
+        SwapSequence((), fp, fp).replay(odd)
 
 
 def test_pendant_every_phase(checked, pendant):

@@ -474,6 +474,12 @@ class TestAuxBipartite:
             ((3, 1, 4, 3), r"marks \(v,i\) and \(w,k\) to be present"),
             ((6, 1, 5, 3), r"marks \(v,i\) and \(w,k\) to be present"),
             ((4, 3, 3, 1), r"marks \(v,i\) and \(w,k\) to be present"),
+            # Class 0, classes past delta, negative classes and vertices
+            # outside class j (vertex 0 is class 1) are never marks.
+            ((3, 0, 4, 9), r"marks \(v,i\) and \(w,k\) to be present"),
+            ((3, 1, 6, 9), r"marks \(v,i\) and \(w,k\) to be present"),
+            ((3, -1, 6, 3), r"marks \(v,i\) and \(w,k\) to be present"),
+            ((0, 1, 4, 3), r"marks \(v,i\) and \(w,k\) to be present"),
         ]
         for aux_swap, message in cases:
             with pytest.raises(GraphError, match=message):
