@@ -6,23 +6,56 @@ classes, connect any two realizations by a sequence of class-preserving
 two-edge swaps, and sample realizations via stub-matching chains.
 """
 
+import importlib.util
 import sys
 
 from .balance import *
 from .core import *
 from .fileio import *
-from .graphic import *
-from .oracle import *
-from .sampler import *
-from .transform import *
-from .cli import run
 
 __version__ = "0.1.0"
 
-# Each module lists its own public names.  They are read from sys.modules
-# because the star imports rebind `balance` to the function of that name.
-__all__ = ["__version__", "run"] + [
-    name
-    for module in ("core", "fileio", "graphic", "balance", "transform", "sampler", "oracle")
-    for name in sys.modules[f"{__name__}.{module}"].__all__
-]
+# cli imports core, fileio and balance by name, so they load eagerly above.
+# The other four run only on their first attribute read, so a `jdm` process
+# compiles just the modules its command uses.  They are bound here, in
+# sys.modules and on the package, before cli imports them, and never rebound
+# after: the benchmark's tracer requires that a traced run leave the
+# package's bindings as it found them.  Their public names, and __all__,
+# resolve through __getattr__ below for the same reason.
+_LAZY = ("graphic", "transform", "sampler", "oracle")
+
+
+def _bind_lazily(names):
+    for name in names:
+        spec = importlib.util.find_spec(f"{__name__}.{name}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = globals()[name] = module
+        spec.loader.exec_module(module)
+
+
+_bind_lazily(_LAZY)
+
+from . import cli  # noqa: E402  (after the bindings above, which it imports)
+
+run = cli.run
+
+
+def __getattr__(name):
+    # Each module lists its own public names.  They are read from
+    # sys.modules because the star imports rebind `balance` to the function
+    # of that name.
+    if name == "__all__":
+        return ["__version__", "run"] + [
+            public
+            for module in ("core", "fileio", "graphic", "balance", "transform", "sampler", "oracle")
+            for public in sys.modules[f"{__name__}.{module}"].__all__
+        ]
+    for module in (sys.modules[f"{__name__}.{lazy}"] for lazy in _LAZY):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

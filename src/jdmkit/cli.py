@@ -26,19 +26,7 @@ from .fileio import (
     save_jdm,
     save_trace,
 )
-from .graphic import _descend, check_graphical, construct_realization, initial_candidate
-from .oracle import enumerate_configurations, enumerate_realizations
-from .sampler import (
-    ChainRunner,
-    Configuration,
-    _build_model,
-    autocorrelation,
-    build_model,
-    embed_realization,
-    to_multigraph,
-    uniform_configuration,
-)
-from .transform import rso_path
+from . import graphic, oracle, sampler, transform
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +47,7 @@ def _fiber_str(key) -> str:
 
 
 def _cmd_check(args) -> int:
-    report = check_graphical(load_jdm(args.matrix))
+    report = graphic.check_graphical(load_jdm(args.matrix))
     payload = {
         "graphical": report.verdict,
         "class_count": len(report.counts),
@@ -74,9 +62,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    state = initial_candidate(load_jdm(args.matrix))
+    state = graphic.initial_candidate(load_jdm(args.matrix))
     initial_psi = state.psi
-    g = _descend(state)
+    g = graphic._descend(state)
     save_graph(g, args.out)
     payload = {
         "vertices": g.n,
@@ -120,7 +108,7 @@ def _cmd_balance(args) -> int:
 def _cmd_path(args) -> int:
     g = load_graph(args.source)
     h = load_graph(args.target)
-    seq = rso_path(g, h)
+    seq = transform.rso_path(g, h)
     verified = False
     if args.verify:
         final = seq.replay(g)
@@ -141,7 +129,7 @@ def _cmd_path(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     j = load_jdm(args.matrix)
-    space = enumerate_realizations(
+    space = oracle.enumerate_realizations(
         j, first_only=args.first_only, max_vertices=args.max_vertices
     )
     if args.witness and space:
@@ -155,7 +143,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = enumerate_configurations(
+    census = oracle.enumerate_configurations(
         load_jdm(args.matrix), max_configurations=args.max_configurations
     )
     fibers = [
@@ -194,9 +182,9 @@ def _cmd_sample(args) -> int:
         start_graph = load_graph(args.start)
         if extract_jdm(start_graph) != j:
             raise GraphError("graph and model matrices differ")
-        model = _build_model(j, start_graph.classes())
+        model = sampler._build_model(j, start_graph.classes())
     else:
-        model = build_model(j)
+        model = sampler.build_model(j)
     payload: dict = {
         "chain": args.chain,
         "steps": args.steps,
@@ -208,7 +196,7 @@ def _cmd_sample(args) -> int:
         fibers: dict = {}
         simple = 0
         for _ in range(args.steps):
-            mg = to_multigraph(uniform_configuration(model, rng))
+            mg = sampler.to_multigraph(sampler.uniform_configuration(model, rng))
             simple += mg.is_simple
             key = mg.fiber_key()
             fibers[key] = fibers.get(key, 0) + 1
@@ -226,12 +214,12 @@ def _cmd_sample(args) -> int:
         _emit(payload, args.out)
         return 0
     if args.start:
-        start = embed_realization(start_graph, model)
+        start = sampler.embed_realization(start_graph, model)
     elif args.chain == "b":
-        start = embed_realization(construct_realization(j), model)
+        start = sampler.embed_realization(graphic.construct_realization(j), model)
     else:
-        start = Configuration(model, tuple(tuple(range(n)) for n in model.component_sizes()))
-    runner = ChainRunner(model, start, args.chain, rng)
+        start = sampler.Configuration(model, tuple(tuple(range(n)) for n in model.component_sizes()))
+    runner = sampler.ChainRunner(model, start, args.chain, rng)
     # pair_counts never holds a zero, so map equality is fiber-key equality.
     start_counts = dict(runner.fiber_key())
     series = []
@@ -254,7 +242,7 @@ def _cmd_sample(args) -> int:
     )
     max_lag = min(args.max_lag, retained - 1)
     if max_lag >= 1:
-        ac = autocorrelation(series, max_lag)
+        ac = sampler.autocorrelation(series, max_lag)
         payload["autocorrelation"] = {
             "max_lag": max_lag,
             "integrated_time": ac.integrated_time,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,7 @@ class SwapError(GraphError):
 def _as_int(value, what: str) -> int:
     try:
         result = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise GraphError(f"{what} must be an integer, got {value!r}") from None
     if result != value:
         raise GraphError(f"{what} must be an integer, got {value!r}")
@@ -227,6 +226,10 @@ class LabeledGraph:
     def fingerprint(self) -> str:
         """Stable short hash of the labeled classes and edge set, computed once."""
         if self._fp is None:
+            # Imported here: only paths fingerprint graphs, and hashlib is a
+            # few milliseconds of every cold start.
+            import hashlib
+
             text = ";".join(f"{v}:{self._classes[v]}" for v in self._vertices)
             text += "|" + ";".join(f"{u}-{v}" for u, v in sorted(self._edges))
             self._fp = hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -2,8 +2,13 @@
 
 import ast
 import pathlib
+import sys
+
+import pytest
 
 import jdmkit
+from jdmkit.core import Jdm
+from jdmkit.fileio import save_graph, save_jdm
 
 PUBLIC = [
     "AutocorrelationResult", "Bipartite", "CandidateState", "ChainRunner",
@@ -36,6 +41,61 @@ def test_public_names_resolve_once():
     assert len(set(jdmkit.__all__)) == len(jdmkit.__all__)
     for name in jdmkit.__all__:
         assert hasattr(jdmkit, name), name
+    assert set(jdmkit.__all__) <= set(dir(jdmkit))
+    # Each name is the object its defining module lists, never a module of
+    # the same name: `balance` is the function, not jdmkit.balance.
+    modules = ("core", "fileio", "graphic", "balance", "transform", "sampler", "oracle")
+    owners = {
+        name: sys.modules[f"jdmkit.{module}"]
+        for module in modules
+        for name in sys.modules[f"jdmkit.{module}"].__all__
+    }
+    assert owners.keys() == set(jdmkit.__all__) - {"__version__", "run"}
+    for name, owner in owners.items():
+        assert getattr(jdmkit, name) is getattr(owner, name), name
+    assert jdmkit.balance is sys.modules["jdmkit.balance"].balance
+
+
+# Prints, after `import jdmkit.cli` and again after running the command in
+# argv (if any), which deferred modules have run.  A module that has run
+# holds its __all__; reading its __dict__ through object.__getattribute__
+# does not make it run.
+LOADED = """
+import contextlib, io, sys
+import jdmkit.cli
+
+def loaded():
+    return sorted(
+        name for name in ("graphic", "oracle", "sampler", "transform")
+        if "__all__" in object.__getattribute__(sys.modules["jdmkit." + name], "__dict__")
+    )
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = jdmkit.cli.run(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, loaded())
+"""
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ([], []),
+        (["check", "m.txt"], ["graphic"]),
+        (["extract", "g.txt"], []),
+        (["path", "g.txt", "h.txt", "--out", "t.txt"], ["transform"]),
+        (["enumerate", "m.txt"], ["oracle", "sampler"]),
+        (["sample", "m.txt", "--chain", "a", "--steps", "10", "--seed", "1"], ["sampler"]),
+    ],
+)
+def test_a_cold_process_runs_only_what_its_command_uses(
+    tmp_path, python_run, six_cycle, two_triangles, command, expected
+):
+    save_jdm(Jdm([[0, 0], [0, 6]]), str(tmp_path / "m.txt"))
+    save_graph(six_cycle, str(tmp_path / "g.txt"))
+    save_graph(two_triangles, str(tmp_path / "h.txt"))
+    proc = python_run(["-c", LOADED, *command], cwd=tmp_path, check=True)
+    assert proc.stdout.splitlines() == ["[]", f"0 {expected}"]
 
 
 def test_package_has_no_assert_statements():

@@ -41,7 +41,7 @@ class TestJdm:
             j.entry(1, 3)
 
     def test_rejects_non_integer_entries(self):
-        for rows in ([[0, 1.5], [1.5, 0]], [[None]], [["a"]]):
+        for rows in ([[0, 1.5], [1.5, 0]], [[None]], [["a"]], [[float("inf")]], [[float("-inf")]]):
             with pytest.raises(GraphError, match="entry"):
                 Jdm(rows)
 
@@ -373,6 +373,8 @@ class TestCallerLabels:
         [
             (["a", 1], "vertex label must be an integer, got 'a'"),
             ([0.5, 1], "vertex label must be an integer, got 0.5"),
+            ([float("inf"), 1], "vertex label must be an integer, got inf"),
+            ([float("-inf"), 1], "vertex label must be an integer, got -inf"),
             ([-3, 1], "vertex label -3 must be non-negative"),
         ],
     )
