@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -270,19 +269,51 @@ class LabeledGraph:
         return f"LabeledGraph(n={self.n}, m={self.m}, delta={self.delta})"
 
 
-@dataclass(frozen=True)
 class Rso:
     """Swap removing edges a-c, b-d and adding b-c, a-d, with a, b in one class.
 
     Keeping the moved pair a, b inside a single degree class is what preserves
     the whole class-pair edge-count matrix, not just the degree sequence.
+
+    An immutable value: equality, hash and repr are those of the frozen
+    dataclass with these five fields, written out so that importing the
+    package does not load dataclasses.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
-    pivot_class: int
+    __slots__ = ("a", "b", "c", "d", "pivot_class")
+
+    def __init__(self, a: int, b: int, c: int, d: int, pivot_class: int) -> None:
+        init = object.__setattr__
+        init(self, "a", a)
+        init(self, "b", b)
+        init(self, "c", c)
+        init(self, "d", d)
+        init(self, "pivot_class", pivot_class)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Rso, (self.a, self.b, self.c, self.d, self.pivot_class)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d, self.pivot_class) == (
+            other.a, other.b, other.c, other.d, other.pivot_class
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d, self.pivot_class))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+            f"d={self.d!r}, pivot_class={self.pivot_class!r})"
+        )
 
     def validate(self, g: LabeledGraph) -> None:
         self._check(g._classes, g.has_edge)

@@ -213,11 +213,16 @@ class ChainRunner:
     advance(k) runs k steps in one loop and step() is advance(1).  A batch
     makes the same draws in the same order as k single steps, and leaves
     perms, inv, pair_counts, nonsimple, steps, holds and rejects exactly as
-    they would be after them.  Chain b updates pair_counts and nonsimple on
-    every move, since it reads them on every proposal.  Chain a does so only
-    in a batch shorter than the matrix's edge count m; a batch of m steps or
-    more just exchanges points and recounts the multigraph once at its end,
-    in one pass over the edge labels (also when a draw raises).
+    they would be after them, as every read of them sees.  Chain b updates
+    pair_counts and nonsimple on every move, since it reads them on every
+    proposal.  Chain a does so only in a batch shorter than the matrix's edge
+    count m; a batch of m steps or more just exchanges points and leaves the
+    multigraph stale (also when a draw raises).  The first read of
+    pair_counts or nonsimple after that, or a shorter batch, recounts it in
+    one pass over the edge labels.  is_simple() on a stale multigraph walks
+    the labels only up to the first loop or repeated pair, and
+    same_multigraph(counts) stops at the first key of counts whose
+    multiplicity differs, each costing O(degree) to count.
     """
 
     def __init__(self, model: ConfigModel, start: Configuration, kind: str, rng):
@@ -251,16 +256,21 @@ class ChainRunner:
         ]
         # verts[ci][mi]: the vertex that owns mini-vertex mi of component ci.
         verts = [[v for v, _slot in model.minis[c]] for c in model.component_classes]
-        # firsts[e], seconds[e]: the two points of edge label e, each as its
-        # component's offset in starts plus its index there.
-        firsts: List[int] = []
-        seconds: List[int] = []
-        for ci, mate in enumerate(mates):
-            for p, (cj, q) in enumerate(mate):
-                if (ci, p) < (cj, q):
-                    firsts.append(starts[ci] + p)
-                    seconds.append(starts[cj] + q)
-        self._labels = (verts, firsts, seconds)
+        # One entry per edge label, its two points (ci, p) < (cj, q) each as
+        # the owner table and the live inverse matching of its component plus
+        # its index: the label lands on verts[ci][inv[ci][p]] and
+        # verts[cj][inv[cj][q]].
+        self._labels = [
+            (verts[ci], self.inv[ci], p, verts[cj], self.inv[cj], q)
+            for ci, mate in enumerate(mates)
+            for p, (cj, q) in enumerate(mate)
+            if (ci, p) < (cj, q)
+        ]
+        # slots[v]: v's component and the indices of its mini-vertices there.
+        self._slots: Dict[int, Tuple[int, List[int]]] = {}
+        for ci, vs in enumerate(verts):
+            for mi, v in enumerate(vs):
+                self._slots.setdefault(v, (ci, []))[1].append(mi)
         # The bounds of a step's draws after the first: the first pair among
         # all pairs, the second among the other pairs of its component.  A
         # draw through getrandbits takes each bound's bit length instead.
@@ -269,9 +279,9 @@ class ChainRunner:
         words = (total.bit_length(), [n.bit_length() for n in others])
         # The fixed tables advance() reads, in one attribute so that binding
         # them costs a single load per call.
-        self._tables = (kind == "b", starts, len(firsts), mates, verts, bounds, words)
+        self._tables = (kind == "b", starts, len(self._labels), mates, verts, bounds, words)
         self._recount()
-        if kind == "b" and self.nonsimple:
+        if kind == "b" and self._nonsimple:
             raise GraphError("chain b needs a simple starting configuration")
         self.steps = 0
         self.holds = 0
@@ -289,8 +299,10 @@ class ChainRunner:
         # Chain b reads the multigraph on every proposal.  Chain a never reads
         # it while stepping, and a recount is one pass over the edge labels:
         # a batch with at least one step per label only swaps points and
-        # recounts once at the end, which costs less than per-move updates.
+        # leaves the multigraph stale, to be recounted on its next read.
         track = reject_nonsimple or k < edges
+        if track and self._counts is None:
+            self._recount()
         rng = self.rng
         # A draw below n is draw(K), retried while the value is n or more.
         # Random.randrange(n) returns self._randbelow(n) for every int n >= 1,
@@ -304,8 +316,9 @@ class ChainRunner:
             draw, (wide, narrow) = rng.getrandbits, words
         else:
             draw, (wide, narrow) = rng.randrange, bounds
-        perms, invs, counts = self.perms, self.inv, self.pair_counts
-        nonsimple = self.nonsimple
+        # The stored fields, not the properties: a stale multigraph stays so.
+        perms, invs, counts = self.perms, self.inv, self._counts
+        nonsimple = self._nonsimple
         done = holds = rejects = 0
         # The counters and the multigraph are written back even if a draw
         # raises, so that they always describe the steps taken.
@@ -379,25 +392,82 @@ class ChainRunner:
             self.holds += holds
             self.rejects += rejects
             if track:
-                self.nonsimple = nonsimple
+                self._nonsimple = nonsimple
             else:
-                self._recount()
+                self._counts = None
+
+    @property
+    def pair_counts(self) -> Dict[Tuple[int, int], int]:
+        """Multiplicity of each vertex pair (u, w), u <= w, of the multigraph."""
+        if self._counts is None:
+            self._recount()
+        return self._counts
+
+    @property
+    def nonsimple(self) -> int:
+        """Edges beyond a simple graph, as _excess counts them."""
+        if self._counts is None:
+            self._recount()
+        return self._nonsimple
 
     def _recount(self) -> None:
         """Set pair_counts and nonsimple from the matching, one pass over the
         edge labels."""
-        verts, firsts, seconds = self._labels
-        # owner[starts[ci] + p]: the vertex that point p of component ci lands on.
-        owner = [v for vs, inv in zip(verts, self.inv) for v in map(vs.__getitem__, inv)]
         counts: Dict[Tuple[int, int], int] = {}
-        for u, w in zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds)):
+        for vs1, inv1, p1, vs2, inv2, p2 in self._labels:
+            u, w = vs1[inv1[p1]], vs2[inv2[p2]]
             key = (u, w) if u <= w else (w, u)
             counts[key] = counts.get(key, 0) + 1
-        self.pair_counts = counts
-        self.nonsimple = _excess(counts)
+        self._counts = counts
+        self._nonsimple = _excess(counts)
 
     def is_simple(self) -> bool:
-        return self.nonsimple == 0
+        if self._counts is not None:
+            return self._nonsimple == 0
+        # Stale: walk the edge labels up to the first loop or repeated pair.
+        # With neither, every pair holds one label, so the walk has counted
+        # the multigraph.
+        seen: Dict[Tuple[int, int], int] = {}
+        for vs1, inv1, p1, vs2, inv2, p2 in self._labels:
+            u, w = vs1[inv1[p1]], vs2[inv2[p2]]
+            if u == w:
+                return False
+            key = (u, w) if u < w else (w, u)
+            if key in seen:
+                return False
+            seen[key] = 1
+        self._counts, self._nonsimple = seen, 0
+        return True
+
+    def same_multigraph(self, counts: Dict[Tuple[int, int], int]) -> bool:
+        """Whether counts equals pair_counts, without a recount when stale.
+
+        On a stale multigraph each key (u, w) of counts is checked in turn by
+        counting the labels on u's slots whose other end lies on w, a loop
+        once, and the first key that differs ends the check.  pair_counts
+        totals the edge count m, so keys that all match make the maps equal
+        exactly when counts totals m as well.
+        """
+        if self._counts is not None:
+            return counts == self._counts
+        perms, invs, slots = self.perms, self.inv, self._slots
+        _, _, _, mates, verts, _, _ = self._tables
+        for (u, w), want in counts.items():
+            where = slots.get(u)
+            if where is None or u > w:
+                return False
+            ci, mis = where
+            perm, mate = perms[ci], mates[ci]
+            have = 0
+            for mi in mis:
+                cj, q = mate[perm[mi]]
+                if verts[cj][invs[cj][q]] == w:
+                    have += 1
+            if u == w:
+                have //= 2
+            if have != want or not have:
+                return False
+        return sum(counts.values()) == len(self._labels)
 
     def configuration(self) -> Configuration:
         return Configuration(

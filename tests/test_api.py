@@ -98,6 +98,13 @@ def test_a_cold_process_runs_only_what_its_command_uses(
     assert proc.stdout.splitlines() == ["[]", f"0 {expected}"]
 
 
+def test_a_cold_import_does_not_load_dataclasses(python_run):
+    # Every command pays the eager modules' imports; dataclasses alone costs
+    # several milliseconds, most of it the inspect module it imports.
+    script = "import sys, jdmkit.cli; print('dataclasses' in sys.modules)"
+    assert python_run(["-c", script], check=True).stdout == "False\n"
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so every check in the package is
     # an explicit raise.

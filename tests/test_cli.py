@@ -441,6 +441,34 @@ class TestSample:
         assert len(calls["advance"]) <= payload["retained_samples"] + 1
         assert sum(calls["advance"]) == steps
 
+    @pytest.mark.parametrize("thin", [4, 9])
+    def test_chain_a_with_a_long_thin_counts_its_multigraph_once(self, thin, jdm_file, monkeypatch, capsys):
+        # The matrix has 4 edges, so every batch after the first one-step
+        # burn-in leaves the multigraph stale: the simple and start checks
+        # read the matching itself, and only the constructor recounts.
+        recounts = []
+        recount = ChainRunner._recount
+
+        def counted(runner):
+            recounts.append(runner)
+            recount(runner)
+
+        monkeypatch.setattr(ChainRunner, "_recount", counted)
+        code, payload = run_json(
+            [
+                "sample", jdm_file([[0, 2], [2, 2]]),
+                "--chain", "a", "--steps", str(1 + 60 * thin), "--thin", str(thin), "--seed", "3",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert payload["retained_samples"] == 61
+        assert 0 < payload["simple_rate"] < 1
+        # A series that never returned to the start would be constant, with
+        # every correlation beyond lag 0 exactly 0.
+        assert any(payload["autocorrelation"]["rho"][1:])
+        assert len(recounts) == 1
+
     @pytest.mark.parametrize(
         "seed, thin",
         # The matrix has 3 edges, so --thin 5 advances chain a in batches that
@@ -623,6 +651,13 @@ class TestErrorHandling:
         assert (out.returncode, out.stdout, out.stderr) == (
             1, "", f"error: matrix needs {2 * 10**30} vertices, too many to label\n"
         )
+
+    def test_python_m_jdmkit_runs_the_cli(self, jdm_file, tmp_path, python_run, capsys):
+        matrix = jdm_file([[0, 0], [0, 6]])
+        assert run(["check", matrix]) == 0
+        expected = capsys.readouterr().out
+        out = python_run(["-m", "jdmkit", "check", matrix], cwd=tmp_path)
+        assert (out.returncode, out.stdout, out.stderr) == (0, expected, "")
 
     def test_missing_file_is_an_io_error(self, capsys):
         assert run(["check", "/nonexistent/matrix.txt"]) == 2

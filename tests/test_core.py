@@ -1,5 +1,9 @@
 """Matrix and graph primitives: validation, swaps, extraction, deletion."""
 
+import copy
+import itertools
+import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -23,6 +27,17 @@ from jdmkit.core import (
 from jdmkit.graphic import construct_realization, initial_candidate
 from jdmkit.oracle import enumerate_realizations, metagraph_connected
 from jdmkit.sampler import build_model
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenRso:
+    """The frozen dataclass Rso stands in for, field for field."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    pivot_class: int
 
 
 class TestJdm:
@@ -180,6 +195,31 @@ class TestRso:
         assert out.is_realization()
         inv = apply_rso(out, Rso(4, 1, 2, 5, pivot_class=2))
         assert inv == six_cycle
+
+    def test_value_semantics_match_a_frozen_dataclass(self):
+        # Small fields make equal tuples common; mixed types test the repr.
+        rng = random.Random(3)
+        values = [0, 1, 2, -1, 10**20, True, 2.0, "x", None]
+        fields = [tuple(rng.choice(values) for _ in range(5)) for _ in range(300)]
+        fields += [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5.0)]
+        for left, right in itertools.product(fields[:40], fields):
+            r, twin = Rso(*left), FrozenRso(*left)
+            assert (r == Rso(*right)) == (twin == FrozenRso(*right)) == (left == right)
+            assert (r != Rso(*right)) == (twin != FrozenRso(*right))
+        for t in fields:
+            r, twin = Rso(*t), FrozenRso(*t)
+            assert r == Rso(**dataclasses.asdict(twin))
+            assert hash(r) == hash(twin)
+            assert repr(r) == "Rso" + repr(twin).removeprefix("FrozenRso")
+            assert r != twin and r != t
+            assert copy.copy(r) == pickle.loads(pickle.dumps(r)) == r
+        r = Rso(1, 4, 2, 5, pivot_class=2)
+        for name in ("a", "pivot_class", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert (r.a, r.b, r.c, r.d, r.pivot_class) == (1, 4, 2, 5, 2)
 
     def test_apply_rso_requires_realization(self):
         g = LabeledGraph(edges=[(0, 1)], classes={0: 1, 1: 2})

@@ -15,6 +15,7 @@ from jdmkit.sampler import (
     ChainRunner,
     Configuration,
     MultiGraphRealization,
+    _build_model,
     autocorrelation,
     build_model,
     chain_a_step,
@@ -367,11 +368,48 @@ def _runner_state(runner):
     )
 
 
-def _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts):
+def _count_variants(counts, rng):
+    """counts, and maps one change away from it: a multiplicity moved to
+    another pair or to a pair at an unknown vertex, a pair dropped, an absent
+    pair added at zero, a pair written in reverse."""
+    variants = [dict(counts)]
+    if counts:
+        vertices = sorted({v for pair in counts for v in pair})
+        old = rng.choice(sorted(counts))
+        for new in (tuple(sorted(rng.choices(vertices, k=2))), (vertices[0], vertices[-1] + 1)):
+            moved = dict(counts)
+            moved[old] -= 1
+            moved[new] = moved.get(new, 0) + 1
+            variants.append({pair: mult for pair, mult in moved.items() if mult})
+        variants.append({pair: mult for pair, mult in counts.items() if pair != old})
+        absent = [pair for pair in itertools.combinations_with_replacement(vertices, 2) if pair not in counts]
+        if absent:
+            variants.append({**counts, rng.choice(absent): 0})
+        if old[0] != old[1]:
+            variants.append({**counts, old[::-1]: counts[old]})
+            del variants[-1][old]
+    return variants
+
+
+def _check_reads(runner, start_counts):
+    """is_simple and same_multigraph, called as jdm sample calls them (and in
+    the other order), agree with a multigraph read off the matching."""
+    fresh = to_multigraph(runner.configuration())
+    rng = random.Random(runner.steps)
+    maps = [start_counts, *_count_variants(fresh.pair_counts, rng)]
+    assert [runner.same_multigraph(c) for c in maps] == [c == fresh.pair_counts for c in maps]
+    assert runner.is_simple() == fresh.is_simple
+    assert [runner.same_multigraph(c) for c in maps] == [c == fresh.pair_counts for c in maps]
+
+
+def _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts):
     """Advance batched in one call of k steps, single and the reference by k
-    single steps, then check that all three describe the same chain."""
+    single steps, then check that all three describe the same chain.  The
+    batched runner answers is_simple and same_multigraph (start_counts among
+    the maps) before anything else reads its multigraph."""
     model, kind = batched.model, batched.kind
     batched.advance(k)
+    _check_reads(batched, start_counts)
     for _ in range(k):
         single.step()
         ref_counts[_reference_step(model, ref_perms, kind, ref_rng)] += 1
@@ -447,13 +485,14 @@ class TestAdvance:
         batched = ChainRunner(model, start, kind, random.Random(21))
         single = ChainRunner(model, start, kind, random.Random(21))
         ref_perms = [list(p) for p in start.match]
+        start_counts = to_multigraph(start).pair_counts
         ref_rng = random.Random(21)
         ref_counts = {"hold": 0, "reject": 0, "move": 0}
         sizes = random.Random(5)
         nonsimple_seen = False
         for _ in range(60):
             k = sizes.choice((0, 1, 1, 2, 3, 7, 16, 40))
-            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts)
             nonsimple_seen |= batched.nonsimple > 0
         if rows != [[0]]:
             assert ref_counts["move"] > 0
@@ -497,11 +536,12 @@ class TestAdvance:
         batched = ChainRunner(model, start, kind, rng_type(6))
         single = ChainRunner(model, start, kind, random.Random(6))
         ref_perms = [list(p) for p in start.match]
+        start_counts = to_multigraph(start).pair_counts
         ref_rng = rng_type(6)
         ref_counts = {"hold": 0, "reject": 0, "move": 0}
         # The matrix has 4 edges, so the batches fall on both sides of the rule.
         for k in (1, 3, 4, 9, 30):
-            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts)
         assert batched.rng.calls == ref_rng.calls > batched.steps
 
     @pytest.mark.parametrize("kind", ["a", "b"])
@@ -526,11 +566,12 @@ class TestAdvance:
         batched = ChainRunner(model, start, kind, WidthLog(9))
         single = ChainRunner(model, start, kind, random.Random(9))
         ref_perms = [list(p) for p in start.match]
+        start_counts = to_multigraph(start).pair_counts
         ref_rng = WidthLog(9)
         ref_counts = {"hold": 0, "reject": 0, "move": 0}
         # The graph has 13 edges: batches on both sides of chain a's rule.
         for k in (1, 5, 13, 40, 100):
-            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts)
         assert batched.rng.widths == ref_rng.widths
         # 2 bits for the hold draw and bound 2, 5 for the 26 pairs, 1, 3 and
         # 4 for the bounds 1, 4 (and 6) and 8.
@@ -583,15 +624,56 @@ class TestAdvance:
         batched = ChainRunner(model, start, kind, random.Random(seed))
         single = ChainRunner(model, start, kind, random.Random(seed))
         ref_perms = [list(p) for p in start.match]
+        start_counts = to_multigraph(start).pair_counts
         ref_rng = random.Random(seed)
         ref_counts = {"hold": 0, "reject": 0, "move": 0}
         for k in (m - 1, m, m + 1, 3 * m):
-            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts)
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts)
         # Each runner counts its start; only chain a's batches of m or more
         # steps recount after it.
         assert recounts == [batched, single] + [batched] * 3 * (kind == "a")
         assert ref_counts["move"] > 0
         assert (ref_counts["reject"] > 0) if kind == "b" else (ref_counts["hold"] > 0)
+
+
+    def test_short_batches_right_after_long_ones(self):
+        # The matrix has 4 edges: each short batch follows a long one that
+        # left the multigraph stale, with no read between them.
+        model, start = self._start(Jdm([[0, 2], [2, 2]]), "a")
+        batched = ChainRunner(model, start, "a", random.Random(12))
+        single = ChainRunner(model, start, "a", random.Random(12))
+        for k in (9, 1, 4, 3, 11, 2, 6, 3, 4, 2):
+            batched.advance(k)
+        for _ in range(45):
+            single.step()
+        assert _runner_state(batched) == _runner_state(single)
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_a_start_graph_out_of_class_order(self, kind):
+        # jdm sample --start builds the model on the start graph's own
+        # classes, whose labels need not ascend with the class.
+        rng = random.Random(2)
+        labels = list(range(30))
+        rng.shuffle(labels)
+        g = LabeledGraph.from_edges(
+            (labels[u], labels[v])
+            for u, v in itertools.combinations(range(30), 2)
+            if rng.random() < 6 / 30
+        )
+        classes = g.classes()
+        assert [classes[v] for v in sorted(classes)] != sorted(classes.values())
+        m = len(g.edges())
+        model = _build_model(extract_jdm(g), classes)
+        start = embed_realization(g, model)
+        start_counts = to_multigraph(start).pair_counts
+        batched = ChainRunner(model, start, kind, random.Random(4))
+        single = ChainRunner(model, start, kind, random.Random(4))
+        ref_perms = [list(p) for p in start.match]
+        ref_rng = random.Random(4)
+        ref_counts = {"hold": 0, "reject": 0, "move": 0}
+        for k in (0, 1, m, m - 1, 2 * m + 3, 5, 4 * m):
+            _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts)
+        assert ref_counts["move"] > 0
 
 
 class TestAutocorrelation:
