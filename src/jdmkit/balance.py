@@ -23,7 +23,6 @@ __all__ = [
     "class_averages",
     "deviation",
     "imbalance",
-    "balance_step",
     "balance",
 ]
 
@@ -117,18 +116,6 @@ def _balance_step(state: _SwapState, j: int) -> Rso:
     if state.imbalance(j) >= before:
         raise GraphError("swap must strictly lower the imbalance")
     return r
-
-
-def balance_step(g: LabeledGraph, j: int) -> Tuple[LabeledGraph, Rso]:
-    """One swap inside class j that strictly lowers its imbalance.
-
-    The top and bottom vertices for the witness class trade one neighbor,
-    which cannot disturb any other class's imbalance: only the spectra of the
-    two class-j pivots change.
-    """
-    state = _SwapState(g)
-    r = _balance_step(state, j)
-    return state.graph(), r
 
 
 def _balance(state: _SwapState) -> List[Rso]:

@@ -346,6 +346,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input too large: recursion limit reached", file=sys.stderr)
+        return 1
 
 
 def main() -> int:

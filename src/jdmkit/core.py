@@ -15,8 +15,6 @@ __all__ = [
     "Rso",
     "extract_jdm",
     "vertex_counts",
-    "degree_spectrum",
-    "all_spectra",
     "apply_rso",
     "delete_vertex",
 ]
@@ -487,15 +485,6 @@ def _assign_labels(j: Jdm, labels: Optional[Sequence[int]]) -> Dict[int, int]:
             classes[v] = i
         pos += size
     return classes
-
-
-def degree_spectrum(g: LabeledGraph, v: int) -> Tuple[int, ...]:
-    """Per-class neighbor counts of v."""
-    return g.spectrum(v)
-
-
-def all_spectra(g: LabeledGraph) -> Dict[int, Tuple[int, ...]]:
-    return {v: g.spectrum(v) for v in g.vertices}
 
 
 def apply_rso(g: LabeledGraph, r: Rso) -> LabeledGraph:

@@ -15,7 +15,6 @@ from .core import (
     LabeledGraph,
     _assign_labels,
     _class_sizes,
-    _edges_by_class_pair,
     _pair_matrix,
     _partition,
     vertex_counts,
@@ -149,10 +148,6 @@ class CandidateState:
     def psi(self) -> int:
         adj = self.graph._adj
         return sum(abs(len(adj[v]) - c) for v, c in self.graph._classes.items())
-
-    def pair_counts(self) -> Dict[Tuple[int, int], int]:
-        pairs = _edges_by_class_pair(self.graph._classes, self.graph.edge_set())
-        return {pair: len(edges) for pair, edges in pairs.items()}
 
 
 def initial_candidate(j: Jdm, labels: Optional[Sequence[int]] = None) -> CandidateState:

@@ -8,13 +8,12 @@ realization set, and a full sweep of the stub-matching configurations.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import GraphError, Jdm, LabeledGraph, vertex_counts
-from .core import _adjacency, _assign_labels, _partition
-from .sampler import Configuration, build_model, to_multigraph
+from .core import _adjacency, _assign_labels, _class_sizes, _partition
+from .sampler import Configuration, _build_model, to_multigraph
 
 __all__ = [
     "enumerate_realizations",
@@ -174,15 +173,22 @@ def enumerate_configurations(
     labels: Optional[Sequence[int]] = None,
     max_configurations: int = 10_000_000,
 ) -> ConfigCensus:
-    """Count every configuration, grouped by the multigraph it induces."""
-    model = build_model(j, labels=list(labels) if labels is not None else None)
+    """Count every configuration, grouped by the multigraph it induces.
+
+    The space is the product of (c * n_c)! over the classes c.  One larger
+    than max_configurations is refused before the model is built, from a
+    running product that stops once it passes the limit.
+    """
+    classes = _assign_labels(j, labels)
     space = 1
-    for n in model.component_sizes():
-        space *= math.factorial(n)
+    for c, size in enumerate(_class_sizes(j), start=1):
+        for factor in range(2, c * size + 1):
+            if space > max_configurations:
+                break
+            space *= factor
     if space > max_configurations:
-        raise GraphError(
-            f"{space} configurations exceeds the limit of {max_configurations}"
-        )
+        raise GraphError(f"the configuration count exceeds the limit of {max_configurations}")
+    model = _build_model(j, classes)
     fibers: Dict[Tuple, int] = {}
     simple: Dict[Tuple, bool] = {}
     total = 0

@@ -40,7 +40,6 @@ __all__ = [
     "uniform_configuration",
     "to_multigraph",
     "chain_a_step",
-    "chain_b_step",
     "embed_realization",
     "ChainRunner",
     "autocorrelation",
@@ -77,9 +76,6 @@ class Configuration:
     model: ConfigModel
     match: Tuple[Tuple[int, ...], ...]
 
-    def key(self) -> Tuple[Tuple[int, ...], ...]:
-        return self.match
-
 
 @dataclass(frozen=True)
 class MultiGraphRealization:
@@ -88,15 +84,6 @@ class MultiGraphRealization:
     classes: Dict[int, int]
     pair_counts: Dict[Tuple[int, int], int]  # (u, v) with u <= v; (v, v) = loop
     is_simple: bool
-
-    def degree(self, v: int) -> int:
-        total = 0
-        for (a, b), mult in self.pair_counts.items():
-            if a == v:
-                total += mult
-            if b == v:
-                total += mult
-        return total
 
     def fiber_key(self) -> Tuple:
         return tuple(sorted(self.pair_counts.items()))
@@ -474,9 +461,6 @@ class ChainRunner:
             model=self.model, match=tuple(tuple(p) for p in self.perms)
         )
 
-    def config_key(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(p) for p in self.perms)
-
     def fiber_key(self) -> Tuple:
         return tuple(sorted(self.pair_counts.items()))
 
@@ -486,16 +470,7 @@ class ChainRunner:
 
 def chain_a_step(c: Configuration, rng) -> Configuration:
     """One lazy matching-exchange step; the result is always a configuration."""
-    return _chain_step(c, rng, "a")
-
-
-def chain_b_step(c: Configuration, rng) -> Configuration:
-    """Chain-a proposal, rejected unless the multigraph stays simple."""
-    return _chain_step(c, rng, "b")
-
-
-def _chain_step(c: Configuration, rng, kind: str) -> Configuration:
-    runner = ChainRunner(c.model, c, kind, rng)
+    runner = ChainRunner(c.model, c, "a", rng)
     runner.step()
     return runner.configuration()
 

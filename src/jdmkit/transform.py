@@ -38,12 +38,6 @@ class Bipartite:
     right: Tuple
     edges: frozenset  # of (l, r) tuples
 
-    def degree_left(self, l) -> int:
-        return sum(1 for (a, _) in self.edges if a == l)
-
-    def degree_right(self, r) -> int:
-        return sum(1 for (_, b) in self.edges if b == r)
-
 
 def _forced_wiring(adj, lefts, rights=None) -> List[Tuple]:
     """Rewire adj (node -> neighbor set) in place to a canonical graph by

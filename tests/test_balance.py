@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from jdmkit.balance import (
+    _balance_step,
     balance,
-    balance_step,
     class_averages,
     deviation,
     imbalance,
@@ -77,7 +77,9 @@ class TestDeviationAndImbalance:
 class TestBalanceStep:
     def test_step_lowers_only_the_active_class(self, pendant):
         before = {j: imbalance(pendant, j) for j in (1, 3)}
-        out, rso = balance_step(pendant, 3)
+        state = _SwapState(pendant)
+        rso = _balance_step(state, 3)
+        out = state.graph()
         assert rso.pivot_class == 3
         assert imbalance(out, 3) < before[3]
         assert imbalance(out, 1) == before[1]
@@ -85,7 +87,7 @@ class TestBalanceStep:
 
     def test_step_refuses_balanced_class(self, pendant):
         with pytest.raises(GraphError, match="already balanced"):
-            balance_step(pendant, 1)
+            _balance_step(_SwapState(pendant), 1)
 
     @pytest.mark.parametrize(
         "sabotage, message",
@@ -104,17 +106,18 @@ class TestBalanceStep:
             f"""
             import sys
             from jdmkit import core
-            from jdmkit.balance import balance_step
+            from jdmkit.balance import balance
 
             assert sys.flags.optimize
             {sabotage}
+            # Class 1 is balanced, so balance's first step is on class 3.
             g = core.LabeledGraph.from_edges({list(pendant.edges())})
             try:
-                out, r = balance_step(g, 3)
+                out, swaps = balance(g)
             except core.GraphError as exc:
                 print("GraphError:", exc)
             else:
-                print("returned", r)
+                print("returned", swaps)
             """
         )
         assert optimized_stdout(script) == f"GraphError: {message}\n"

@@ -17,9 +17,7 @@ from jdmkit.core import (
     NotRealizationError,
     Rso,
     SwapError,
-    all_spectra,
     apply_rso,
-    degree_spectrum,
     delete_vertex,
     extract_jdm,
     vertex_counts,
@@ -243,9 +241,9 @@ class TestExtractAndCounts:
         assert vertex_counts(Jdm([[0, 2], [2, 2]])) == (2, 3)
         assert vertex_counts(Jdm([[0, 1], [1, 0]])) == (1, Fraction(1, 2))
 
-    def test_spectra_helpers(self, pendant):
-        assert degree_spectrum(pendant, 4) == (1, 0, 2)
-        spectra = all_spectra(pendant)
+    def test_spectra(self, pendant):
+        assert pendant.spectrum(4) == (1, 0, 2)
+        spectra = {v: pendant.spectrum(v) for v in pendant.vertices}
         assert spectra[3] == (2, 0, 1)
         assert len(spectra) == 8
 
@@ -327,12 +325,12 @@ class TestRewireDifferential:
         assert derived.edge_set() == fresh.edge_set()
         for v in fresh.vertices:
             assert derived.neighbors(v) == fresh.neighbors(v)
+            assert derived.spectrum(v) == fresh.spectrum(v)
         assert derived == fresh and fresh == derived
         assert hash(derived) == hash(fresh)
         assert derived.fingerprint() == fresh.fingerprint()
         assert derived.delta == fresh.delta
         assert derived.is_realization() == fresh.is_realization()
-        assert all_spectra(derived) == all_spectra(fresh)
 
     def test_random_rewires_match_a_rebuild(self):
         rng = random.Random(5)

@@ -139,7 +139,9 @@ class TestDescent:
     def test_initial_candidate_hits_pair_counts(self):
         j = Jdm([[0, 0, 3], [0, 0, 0], [3, 0, 6]])
         state = initial_candidate(j)
-        assert state.pair_counts() == {(1, 3): 3, (3, 3): 6}
+        g = state.graph
+        pairs = Counter(tuple(sorted((g.class_of(u), g.class_of(v)))) for u, v in g.edges())
+        assert pairs == {(1, 3): 3, (3, 3): 6}
         assert state.psi % 2 == 0
 
     def test_descent_drops_psi_by_two(self):

@@ -132,6 +132,13 @@ class TestEnumerateConfigurations:
         with pytest.raises(GraphError, match="exceeds the limit"):
             enumerate_configurations(Jdm([[0, 0], [0, 6]]), max_configurations=100)
 
+    def test_a_huge_space_is_refused_without_its_count(self):
+        # (600000)! has millions of digits: the refusal neither prints nor
+        # finishes the product.
+        with pytest.raises(GraphError) as exc:
+            enumerate_configurations(Jdm([[0, 0], [0, 300000]]))
+        assert str(exc.value) == "the configuration count exceeds the limit of 10000000"
+
 
 def test_mask_enumeration_agrees_with_the_oracle():
     # Brute force over every labeled graph on up to five vertices: group the

@@ -2,8 +2,8 @@
 
 Every swap that balance, spectrum_align, class-pair routing, unbalancing and
 replay make goes through one state; after each one its spectra, per-class
-imbalance and per-component deviation tallies must equal what all_spectra
-and the Fraction class averages give on the materialized graph.
+imbalance and per-component deviation tallies must equal what the
+materialized graph's spectra and the Fraction class averages give.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import pytest
 
 from jdmkit import core
 from jdmkit.balance import balance, class_averages
-from jdmkit.core import Jdm, LabeledGraph, NotRealizationError, _SwapState, all_spectra, extract_jdm
+from jdmkit.core import Jdm, LabeledGraph, NotRealizationError, _SwapState, extract_jdm
 from jdmkit.oracle import enumerate_realizations
 from jdmkit.transform import SwapSequence, rso_path, spectrum_align
 
@@ -25,7 +25,7 @@ PENDANT_OTHER = [(0, 3), (1, 3), (2, 7), (3, 4), (4, 5), (4, 6), (5, 6), (5, 7),
 
 def recount(state):
     g = state.graph()
-    spectra = all_spectra(g)
+    spectra = {v: g.spectrum(v) for v in g.vertices}
     assert {v: tuple(s) for v, s in state.spec.items()} == spectra
     avgs = class_averages(extract_jdm(g))
     for j, members in g.partition().items():
