@@ -36,12 +36,7 @@ class ClassAverages:
     """
 
     def __init__(self, j: Jdm):
-        self._k = j.k
         self._table = _average_table(j)
-
-    @property
-    def k(self) -> int:
-        return self._k
 
     def get(self, j_class: int, i: int) -> Fraction:
         """Average count of class-i neighbors over class-j vertices."""

@@ -65,9 +65,6 @@ class ConfigModel:
     def component_sizes(self) -> Tuple[int, ...]:
         return tuple(len(self.minis[c]) for c in self.component_classes)
 
-    def partition(self) -> Dict[int, Tuple[int, ...]]:
-        return _partition(self.classes)
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -204,12 +201,12 @@ class ChainRunner:
     pair_counts and nonsimple on every move, since it reads them on every
     proposal.  Chain a does so only in a batch shorter than the matrix's edge
     count m; a batch of m steps or more just exchanges points and leaves the
-    multigraph stale (also when a draw raises).  The first read of
-    pair_counts or nonsimple after that, or a shorter batch, recounts it in
-    one pass over the edge labels.  is_simple() on a stale multigraph walks
-    the labels only up to the first loop or repeated pair, and
-    same_multigraph(counts) stops at the first key of counts whose
-    multiplicity differs, each costing O(degree) to count.
+    multigraph stale (also when a draw raises).  Every read of a stale
+    multigraph is one walk over the edge labels that stops at the first pair
+    over its limit, and a walk that reaches the end stores the counts:
+    is_simple() allows no loop and any other pair once, same_multigraph(counts)
+    allows each pair its multiplicity in counts, and pair_counts, nonsimple
+    and a shorter batch set no limit.
     """
 
     def __init__(self, model: ConfigModel, start: Configuration, kind: str, rng):
@@ -253,11 +250,6 @@ class ChainRunner:
             for p, (cj, q) in enumerate(mate)
             if (ci, p) < (cj, q)
         ]
-        # slots[v]: v's component and the indices of its mini-vertices there.
-        self._slots: Dict[int, Tuple[int, List[int]]] = {}
-        for ci, vs in enumerate(verts):
-            for mi, v in enumerate(vs):
-                self._slots.setdefault(v, (ci, []))[1].append(mi)
         # The bounds of a step's draws after the first: the first pair among
         # all pairs, the second among the other pairs of its component.  A
         # draw through getrandbits takes each bound's bit length instead.
@@ -267,7 +259,7 @@ class ChainRunner:
         # The fixed tables advance() reads, in one attribute so that binding
         # them costs a single load per call.
         self._tables = (kind == "b", starts, len(self._labels), mates, verts, bounds, words)
-        self._recount()
+        self._walk(None)
         if kind == "b" and self._nonsimple:
             raise GraphError("chain b needs a simple starting configuration")
         self.steps = 0
@@ -289,7 +281,7 @@ class ChainRunner:
         # leaves the multigraph stale, to be recounted on its next read.
         track = reject_nonsimple or k < edges
         if track and self._counts is None:
-            self._recount()
+            self._walk(None)
         rng = self.rng
         # A draw below n is draw(K), retried while the value is n or more.
         # Random.randrange(n) returns self._randbelow(n) for every int n >= 1,
@@ -387,74 +379,44 @@ class ChainRunner:
     def pair_counts(self) -> Dict[Tuple[int, int], int]:
         """Multiplicity of each vertex pair (u, w), u <= w, of the multigraph."""
         if self._counts is None:
-            self._recount()
+            self._walk(None)
         return self._counts
 
     @property
     def nonsimple(self) -> int:
         """Edges beyond a simple graph, as _excess counts them."""
         if self._counts is None:
-            self._recount()
+            self._walk(None)
         return self._nonsimple
 
-    def _recount(self) -> None:
-        """Set pair_counts and nonsimple from the matching, one pass over the
-        edge labels."""
+    def _walk(self, cap) -> bool:
+        """Count the pairs (u, w), u <= w, of the multigraph in one pass over
+        the edge labels.  Given cap, stop with False at the first pair whose
+        count passes cap(pair); a walk that reaches the end stores pair_counts
+        and nonsimple and returns True."""
         counts: Dict[Tuple[int, int], int] = {}
         for vs1, inv1, p1, vs2, inv2, p2 in self._labels:
             u, w = vs1[inv1[p1]], vs2[inv2[p2]]
             key = (u, w) if u <= w else (w, u)
-            counts[key] = counts.get(key, 0) + 1
+            n = counts[key] = counts.get(key, 0) + 1
+            if cap and n > cap(key):
+                return False
         self._counts = counts
         self._nonsimple = _excess(counts)
-
-    def is_simple(self) -> bool:
-        if self._counts is not None:
-            return self._nonsimple == 0
-        # Stale: walk the edge labels up to the first loop or repeated pair.
-        # With neither, every pair holds one label, so the walk has counted
-        # the multigraph.
-        seen: Dict[Tuple[int, int], int] = {}
-        for vs1, inv1, p1, vs2, inv2, p2 in self._labels:
-            u, w = vs1[inv1[p1]], vs2[inv2[p2]]
-            if u == w:
-                return False
-            key = (u, w) if u < w else (w, u)
-            if key in seen:
-                return False
-            seen[key] = 1
-        self._counts, self._nonsimple = seen, 0
         return True
 
-    def same_multigraph(self, counts: Dict[Tuple[int, int], int]) -> bool:
-        """Whether counts equals pair_counts, without a recount when stale.
+    def is_simple(self) -> bool:
+        # A loop may not occur, any other pair at most once.
+        if self._counts is None and not self._walk(lambda key: key[0] != key[1]):
+            return False
+        return self._nonsimple == 0
 
-        On a stale multigraph each key (u, w) of counts is checked in turn by
-        counting the labels on u's slots whose other end lies on w, a loop
-        once, and the first key that differs ends the check.  pair_counts
-        totals the edge count m, so keys that all match make the maps equal
-        exactly when counts totals m as well.
-        """
-        if self._counts is not None:
-            return counts == self._counts
-        perms, invs, slots = self.perms, self.inv, self._slots
-        _, _, _, mates, verts, _, _ = self._tables
-        for (u, w), want in counts.items():
-            where = slots.get(u)
-            if where is None or u > w:
-                return False
-            ci, mis = where
-            perm, mate = perms[ci], mates[ci]
-            have = 0
-            for mi in mis:
-                cj, q = mate[perm[mi]]
-                if verts[cj][invs[cj][q]] == w:
-                    have += 1
-            if u == w:
-                have //= 2
-            if have != want or not have:
-                return False
-        return sum(counts.values()) == len(self._labels)
+    def same_multigraph(self, counts: Dict[Tuple[int, int], int]) -> bool:
+        """Whether counts equals pair_counts; a stale multigraph is walked only
+        up to the first pair it holds more often than counts does."""
+        if self._counts is None and not self._walk(lambda key: counts.get(key, 0)):
+            return False
+        return counts == self._counts
 
     def configuration(self) -> Configuration:
         return Configuration(

@@ -31,7 +31,6 @@ from jdmkit.oracle import enumerate_realizations
 class TestClassAverages:
     def test_pendant_values(self, pendant):
         avgs = class_averages(extract_jdm(pendant))
-        assert avgs.k == 3
         assert avgs.get(3, 1) == Fraction(3, 5)
         assert avgs.get(3, 3) == Fraction(12, 5)
         assert avgs.get(1, 3) == 1

@@ -445,15 +445,17 @@ class TestSample:
     def test_chain_a_with_a_long_thin_counts_its_multigraph_once(self, thin, jdm_file, monkeypatch, capsys):
         # The matrix has 4 edges, so every batch after the first one-step
         # burn-in leaves the multigraph stale: the simple and start checks
-        # read the matching itself, and only the constructor recounts.
+        # walk the edge labels up to a limit, and only the constructor walks
+        # them with none.
         recounts = []
-        recount = ChainRunner._recount
+        walk = ChainRunner._walk
 
-        def counted(runner):
-            recounts.append(runner)
-            recount(runner)
+        def counted(runner, cap):
+            if cap is None:
+                recounts.append(runner)
+            return walk(runner, cap)
 
-        monkeypatch.setattr(ChainRunner, "_recount", counted)
+        monkeypatch.setattr(ChainRunner, "_walk", counted)
         code, payload = run_json(
             [
                 "sample", jdm_file([[0, 2], [2, 2]]),

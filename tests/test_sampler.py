@@ -1,5 +1,6 @@
 """Stub-matching space, exchange chains, and the correlation diagnostic."""
 
+import copy
 import itertools
 import math
 import random
@@ -43,7 +44,7 @@ class TestBuildModel:
         model = build_model(Jdm([[0, 0], [0, 3]]))
         assert model.component_classes == (2,)
         assert model.component_sizes() == (6,)
-        assert model.partition() == {2: (0, 1, 2)}
+        assert model.classes == {0: 2, 1: 2, 2: 2}
         assert model.minis[2] == (
             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2),
         )
@@ -65,7 +66,7 @@ class TestBuildModel:
     def test_labels_must_cover_the_count(self):
         j = Jdm([[0, 0], [0, 3]])
         model = build_model(j, labels=[7, 8, 9])
-        assert model.partition() == {2: (7, 8, 9)}
+        assert model.classes == {7: 2, 8: 2, 9: 2}
         with pytest.raises(GraphError, match="distinct labels"):
             build_model(j, labels=[7, 8])
         with pytest.raises(GraphError, match="distinct labels"):
@@ -392,15 +393,29 @@ def _count_variants(counts, rng):
     return variants
 
 
+def _stale_copy(runner):
+    """A deep copy of runner, sharing its model and generator, which no read
+    of the multigraph touches.  A copy of a stale runner is stale."""
+    return copy.deepcopy(runner, {id(runner.model): runner.model, id(runner.rng): runner.rng})
+
+
 def _check_reads(runner, start_counts):
     """is_simple and same_multigraph, called as jdm sample calls them (and in
-    the other order), agree with a multigraph read off the matching."""
+    the other order), agree with a multigraph read off the matching.  A walk
+    that reaches the end refreshes the runner, so every map is also checked
+    on its own copy of the runner as the batch left it."""
     fresh = to_multigraph(runner.configuration())
     rng = random.Random(runner.steps)
     maps = [start_counts, *_count_variants(fresh.pair_counts, rng)]
-    assert [runner.same_multigraph(c) for c in maps] == [c == fresh.pair_counts for c in maps]
+    want = [c == fresh.pair_counts for c in maps]
+    assert [_stale_copy(runner).same_multigraph(c) for c in maps] == want
+    other = _stale_copy(runner)
+    assert other.same_multigraph(start_counts) == want[0]
+    assert other.is_simple() == fresh.is_simple
     assert runner.is_simple() == fresh.is_simple
-    assert [runner.same_multigraph(c) for c in maps] == [c == fresh.pair_counts for c in maps]
+    assert runner.same_multigraph(start_counts) == want[0]
+    assert runner.pair_counts == fresh.pair_counts
+    assert [runner.same_multigraph(c) for c in maps] == want
 
 
 def _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts):
@@ -615,13 +630,14 @@ class TestAdvance:
         m = len(g.edges())
         model, start = self._start(extract_jdm(g), kind)
         recounts = []
-        recount = ChainRunner._recount
+        walk = ChainRunner._walk
 
-        def counted_recount(runner):
-            recounts.append(runner)
-            recount(runner)
+        def counted_walk(runner, cap):
+            if cap is None:
+                recounts.append(runner)
+            return walk(runner, cap)
 
-        monkeypatch.setattr(ChainRunner, "_recount", counted_recount)
+        monkeypatch.setattr(ChainRunner, "_walk", counted_walk)
         batched = ChainRunner(model, start, kind, random.Random(seed))
         single = ChainRunner(model, start, kind, random.Random(seed))
         ref_perms = [list(p) for p in start.match]
@@ -675,6 +691,87 @@ class TestAdvance:
         for k in (0, 1, m, m - 1, 2 * m + 3, 5, 4 * m):
             _advance_all(k, batched, single, ref_perms, ref_rng, ref_counts, start_counts)
         assert ref_counts["move"] > 0
+
+
+class CountingDict(dict):
+    """A dict that counts its get calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+class TestWalk:
+    """One walk over the edge labels answers every read of a stale multigraph."""
+
+    @staticmethod
+    def _held():
+        # Chain a from a simple realization, held for m = 4 steps: the
+        # multigraph is stale and still the simple start.
+        model = build_model(Jdm([[0, 2], [2, 2]]))
+        start = embed_realization(construct_realization(model.jdm), model)
+        runner = ChainRunner(model, start, "a", ScriptedRng([(2, 0)] * 4))
+        runner.advance(4)
+        assert runner._counts is None
+        return runner, to_multigraph(start).pair_counts
+
+    @pytest.mark.parametrize("read", ["is_simple", "same_multigraph", "same_multigraph_with_a_zero"])
+    def test_a_walk_to_the_end_stores_the_counts(self, read, monkeypatch):
+        runner, counts = self._held()
+        if read == "is_simple":
+            assert runner.is_simple()
+        else:
+            # A map with an absent pair at zero holds every pair often enough,
+            # so the walk ends, and then differs from pair_counts.
+            extra = {(0, 0): 0} if read.endswith("zero") else {}
+            assert runner.same_multigraph({**counts, **extra}) == (not extra)
+        assert runner._counts == counts
+        assert runner._nonsimple == 0
+        walks = []
+        monkeypatch.setattr(ChainRunner, "_walk", lambda runner, cap: walks.append(cap))
+        assert runner.pair_counts == counts
+        assert runner.nonsimple == 0
+        assert runner.is_simple()
+        assert runner.same_multigraph(dict(counts))
+        runner.advance(0)
+        assert walks == []
+
+    def test_a_walk_that_stops_early_stores_nothing(self):
+        runner, counts = self._held()
+        # The walk meets pair more often than each map allows: at zero,
+        # dropped, or written in reverse.
+        pair = min(counts)
+        dropped = {p: c for p, c in counts.items() if p != pair}
+        for short in ({**counts, pair: 0}, dropped, {**dropped, pair[::-1]: counts[pair]}):
+            assert not runner.same_multigraph(short)
+            assert runner._counts is None
+        model = runner.model
+        looped = Configuration(model, tuple(tuple(range(n)) for n in model.component_sizes()))
+        runner = ChainRunner(model, looped, "a", ScriptedRng([(2, 0)] * 4))
+        runner.advance(4)
+        assert not runner.is_simple()
+        assert runner._counts is None
+
+    def test_the_start_check_stops_at_the_first_pair_over_its_count(self):
+        # A G(40, 8/40) graph with m = 149 edges; chain a from the identity
+        # configuration, as jdm sample starts it.  After 2m steps the start
+        # check reads the start map at the labels it walks, and stops at the
+        # second.
+        rng = random.Random(1)
+        g = LabeledGraph.from_edges(
+            (u, v) for u, v in itertools.combinations(range(40), 2) if rng.random() < 8 / 40
+        )
+        m = len(g.edges())
+        model = build_model(extract_jdm(g))
+        start = Configuration(model, tuple(tuple(range(n)) for n in model.component_sizes()))
+        runner = ChainRunner(model, start, "a", random.Random(1))
+        start_counts = CountingDict(runner.fiber_key())
+        runner.advance(2 * m)
+        assert not runner.same_multigraph(start_counts)
+        assert (start_counts.gets, m) == (2, 149)
+        assert runner._counts is None
 
 
 class TestAutocorrelation:

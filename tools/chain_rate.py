@@ -8,9 +8,10 @@ builds, and for a thin of m - 1 and of m (chain a tracks its multigraph in
 batches shorter than m and leaves it stale in longer ones), it runs samples
 as ``jdm sample`` does: ``advance(thin)``, then ``is_simple()`` and the check
 against the start's multigraph.  It prints the best-of-3 steps per second,
-the number of ``ChainRunner._recount`` calls in one run (the constructor's
-included), and a digest of the stdout of the matching ``jdm sample`` run
-(same steps, thin and seed ``--seed 1``):
+the number of full passes over the multigraph in one run (the constructor's
+included): ``ChainRunner._walk`` calls with no cap, or ``ChainRunner._recount``
+calls in a jdmkit that has no ``_walk``.  Last comes a digest of the stdout of
+the matching ``jdm sample`` run (same steps, thin and seed ``--seed 1``):
 
     PYTHONPATH=src python3 tools/chain_rate.py
 
@@ -55,15 +56,18 @@ def run_chain(model, start, kind, thin, seed):
 
 
 def main() -> None:
-    recounts = 0
-    recount = sampler.ChainRunner._recount
+    passes = 0
+    # A walk with no cap counts the whole multigraph; a jdmkit without _walk
+    # counts it in _recount, which takes no cap.
+    name = "_walk" if hasattr(sampler.ChainRunner, "_walk") else "_recount"
+    count = getattr(sampler.ChainRunner, name)
 
-    def counted(runner):
-        nonlocal recounts
-        recounts += 1
-        recount(runner)
+    def counted(runner, *cap):
+        nonlocal passes
+        passes += cap in ((), (None,))
+        return count(runner, *cap)
 
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sampler.ChainRunner, "_recount", counted):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sampler.ChainRunner, name, counted):
         for n in SIZES:
             j = extract_jdm(sparse_gnm(n, random.Random(7)))
             matrix = os.path.join(tmp, f"m{n}.txt")
@@ -79,11 +83,11 @@ def main() -> None:
                 for thin in (m - 1, m):
                     best = float("inf")
                     for _ in range(REPEATS):
-                        recounts = 0
+                        passes = 0
                         t0 = time.perf_counter()
                         run_chain(model, start, kind, thin, 1)
                         best = min(best, time.perf_counter() - t0)
-                    run_recounts = recounts
+                    run_passes = passes
                     out = io.StringIO()
                     argv = ["sample", matrix, "--chain", kind, "--steps", str(SAMPLES * thin),
                             "--thin", str(thin), "--seed", "1"]
@@ -91,7 +95,7 @@ def main() -> None:
                         cli.run(argv)
                     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
                     print(f"n={n} m={m} chain={kind} thin={thin} "
-                          f"steps_per_s={SAMPLES * thin / best:.0f} recounts={run_recounts} stdout={digest}")
+                          f"steps_per_s={SAMPLES * thin / best:.0f} full_passes={run_passes} stdout={digest}")
 
 
 if __name__ == "__main__":
