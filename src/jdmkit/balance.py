@@ -79,30 +79,29 @@ def _balance_step(state: _SwapState, j: int) -> Rso:
     before = state.imbalance(j)
     if before == 0:
         raise GraphError(f"class {j} is already balanced")
-    members, spec = state.part[j], state.spec
-    i = next((i for i in range(1, state.delta + 1) if state.dev[(j, i)] > 0), None)
+    members, spec, dev = state.part[j], state.spec, state.dev
+    i = next((i for i in range(1, state.delta + 1) if dev[(j, i)] > 0), None)
     if i is None:
         raise GraphError("positive imbalance must expose a witness class")
-    u = min(members, key=lambda v: (spec[v][i - 1], v))
-    v = min(members, key=lambda x: (-spec[x][i - 1], x))
+    col = [spec[x][i - 1] for x in members]
+    lo, hi = min(col), max(col)
+    # members ascend, so index() finds the smallest label among the ties.
+    u, v = members[col.index(lo)], members[col.index(hi)]
     # The extreme spread is at least 2 whenever any deviation is positive, so
     # a neighbor of v in the witness class avoiding u and its neighborhood exists.
     w = state.movable(v, i, u)
     if w is None:
         raise GraphError("no movable witness-class neighbor at the top vertex")
-    z = None
-    for k in range(1, state.delta + 1):
-        if k == i or spec[u][k - 1] <= spec[v][k - 1]:
-            continue
-        z = state.movable(u, k, v)
-        if z is not None:
-            break
+    # z: u's neighbor that v can take, of the smallest class k != i where u holds
+    # more than v, then the smallest label (movable(u, k, v) by ascending k).
+    classes, su, sv, near_v = state.classes, spec[u], spec[v], state.adj[v]
+    _, z = min(((k, c) for c in state.adj[u] if c != v and c not in near_v
+                for k in (classes[c],) if k != i and su[k - 1] > sv[k - 1]), default=(0, None))
     if z is None:
         raise GraphError("no return-class neighbor at the bottom vertex")
     # Runtime check that the ordering chain holds with two strict inequalities.
     num, den = state.avg[(j, i)]
     floor, ceil = num // den, -(-num // den)
-    lo, hi = spec[u][i - 1], spec[v][i - 1]
     strict = (lo < floor) + (floor < ceil) + (ceil < hi)
     if not (lo <= floor <= ceil <= hi and strict >= 2):
         raise GraphError("witness-class counts must straddle the average at least 2 apart")

@@ -318,20 +318,18 @@ class Rso:
 
     def _check(self, classes: Mapping[int, int], has_edge) -> None:
         """The validation itself, over a class map and an edge test."""
-        verts = (self.a, self.b, self.c, self.d)
-        if len(set(verts)) != 4:
-            raise SwapError(f"swap vertices {verts} are not pairwise distinct")
-        for v in verts:
+        a, b, c, d, j = self.a, self.b, self.c, self.d, self.pivot_class
+        if len({a, b, c, d}) != 4:
+            raise SwapError(f"swap vertices {(a, b, c, d)} are not pairwise distinct")
+        for v in (a, b, c, d):
             if v not in classes:
                 raise SwapError(f"unknown vertex {v}")
-        if classes[self.a] != self.pivot_class or classes[self.b] != self.pivot_class:
-            raise SwapError(
-                f"vertices {self.a}, {self.b} must both be in class {self.pivot_class}"
-            )
-        for u, v in ((self.a, self.c), (self.b, self.d)):
+        if classes[a] != j or classes[b] != j:
+            raise SwapError(f"vertices {a}, {b} must both be in class {j}")
+        for u, v in ((a, c), (b, d)):
             if not has_edge(u, v):
                 raise SwapError(f"required edge {u}-{v} is missing")
-        for u, v in ((self.b, self.c), (self.a, self.d)):
+        for u, v in ((b, c), (a, d)):
             if has_edge(u, v):
                 raise SwapError(f"target edge {u}-{v} is already present")
 
@@ -444,8 +442,9 @@ def _tallies(rows: Sequence[Sequence[int]]) -> List[int]:
     n, out = len(rows), []
     for col in zip(*rows):
         t, dev = sum(col), 0
-        for s in col:
-            dev += abs(t - s * n) // n
+        if t:  # an all-zero column deviates nowhere
+            for s in col:
+                dev += abs(t - s * n) // n
         out.append(dev)
     return out
 
@@ -509,25 +508,49 @@ def _exchange(adj, a, b, c, d) -> None:
     adj[d].add(a)
 
 
-class _SwapState:
+class _EdgeState:
+    """A graph's adjacency sets under restricted swaps, updated in place.  Each
+    swap passes Rso's check before its edges are exchanged, so graph() rebuilds
+    without checking again, into a graph equal to g when no swap ran."""
+
+    __slots__ = ("classes", "adj")
+
+    def __init__(self, g: LabeledGraph):
+        self.classes = g._classes
+        self.adj = {v: set(ns) for v, ns in g._adj.items()}
+
+    def swap(self, r: Rso) -> None:
+        """Validate r exactly as Rso.validate does, then apply it."""
+        adj = self.adj
+        r._check(self.classes, lambda u, v: v in adj[u])
+        _exchange(adj, r.a, r.b, r.c, r.d)
+
+    def edges(self) -> List[Tuple[int, int]]:
+        """Current edges as (u, v) pairs with u < v."""
+        return [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
+
+    def graph(self) -> LabeledGraph:
+        # proof: the state began as a graph's edges and each swap passed Rso._check.
+        return LabeledGraph._proved(frozenset(self.edges()), self.classes)
+
+
+class _SwapState(_EdgeState):
     """A realization under restricted swaps, updated in place.
 
-    Holds the matrix and its class averages (fixed, since a swap never
-    changes the matrix), adjacency sets, each vertex's spectrum and, per
-    class j and component i, the tally of floor(|A_j(i) - s_i(v)|) over
-    class j, with its sum over i per class.  A swap touches the spectra of
-    its two pivots only, so it updates all of this in O(1).  It checks only
-    that g is a realization; every swap passes Rso's check, so graph()
-    rebuilds without checking again, into a graph equal to g when no swap ran.
+    Beyond the edge state: the matrix and class averages (a swap never
+    changes them), each vertex's spectrum and, per class j and component i,
+    the tally of floor(|A_j(i) - s_i(v)|) over class j, with its sum per
+    class.  A swap moves two components of its two pivots' spectra, so it
+    updates two tally cells in place.  It checks that g is a realization.
     """
 
-    __slots__ = ("jdm", "classes", "adj", "part", "delta", "spec", "avg", "dev", "imb")
+    __slots__ = ("jdm", "part", "delta", "spec", "avg", "dev", "imb")
 
     def __init__(self, g: LabeledGraph):
         self.jdm = extract_jdm(g)
         self.avg = _average_table(self.jdm)
-        self.classes = classes = g._classes
-        self.adj = {v: set(ns) for v, ns in g._adj.items()}
+        _EdgeState.__init__(self, g)
+        classes = self.classes
         self.part = g.partition()
         self.delta = delta = g.delta
         self.spec = spec = {}
@@ -539,9 +562,6 @@ class _SwapState:
         tallies = {j: _tallies([spec[v] for v in vs]) for j, vs in self.part.items()}
         self.dev = {(j, i): t for j, ts in tallies.items() for i, t in enumerate(ts, start=1)}
         self.imb = {j: sum(ts) for j, ts in tallies.items()}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def imbalance(self, j: int) -> int:
         """Total deviation over class j's vertices and spectrum components."""
@@ -560,34 +580,20 @@ class _SwapState:
         )
 
     def swap(self, r: Rso) -> None:
-        """Validate r exactly as Rso.validate does, then apply it."""
-        r._check(self.classes, self.has_edge)
-        a, b, c, d = r.a, r.b, r.c, r.d
-        _exchange(self.adj, a, b, c, d)
+        _EdgeState.swap(self, r)
         # c and d keep their spectra, since a and b share a class; a trades a
         # class(c) neighbor for a class(d) one and b the reverse.
-        ic, id_ = self.classes[c], self.classes[d]
+        ic, id_ = self.classes[r.c], self.classes[r.d]
         if ic != id_:
-            for v, lose, gain in ((a, ic, id_), (b, id_, ic)):
-                self._bump(v, r.pivot_class, lose, -1)
-                self._bump(v, r.pivot_class, gain, 1)
-
-    def _bump(self, v: int, j: int, i: int, step: int) -> None:
-        spec = self.spec[v]
-        num, den = self.avg[(j, i)]
-        s = spec[i - 1]
-        change = _floor_dev(num, den, s + step) - _floor_dev(num, den, s)
-        self.dev[(j, i)] += change
-        self.imb[j] += change
-        spec[i - 1] = s + step
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """Current edges as (u, v) pairs with u < v."""
-        return [(u, v) for u, ns in self.adj.items() for v in ns if u < v]
-
-    def graph(self) -> LabeledGraph:
-        # proof: the state began as a checked graph and each swap passed Rso._check.
-        return LabeledGraph._proved(frozenset(self.edges()), self.classes)
+            j, spec = r.pivot_class, self.spec
+            for i, down, up in ((ic, spec[r.a], spec[r.b]), (id_, spec[r.b], spec[r.a])):
+                num, den = self.avg[(j, i)]
+                s, t = down[i - 1], up[i - 1]
+                down[i - 1], up[i - 1] = s - 1, t + 1
+                x, y = num - s * den, num - t * den  # _floor_dev is abs(num - s * den) // den
+                change = abs(x + den) // den - abs(x) // den + abs(y - den) // den - abs(y) // den
+                self.dev[(j, i)] += change
+                self.imb[j] += change
 
 
 def delete_vertex(g: LabeledGraph, v: int) -> LabeledGraph:

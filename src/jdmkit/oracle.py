@@ -79,26 +79,28 @@ def enumerate_realizations(
         if not feasible(start):
             return False
         quota, cells = plan[start][2:]
-
-        def pick(idx: int, remaining: int) -> bool:
-            if remaining == 0:
-                return place(start + 1)
-            for at in range(idx, len(cells) - remaining + 1):
+        # Each quota-subset of the cells in lexicographic order, depth first on
+        # an explicit stack of placed cells, so a pair may hold any number of edges.
+        chosen, at = [], 0  # the cells placed, and the next one to try
+        while True:
+            remaining = quota - len(chosen)
+            if remaining and at <= len(cells) - remaining:
                 u, w = cells[at]
-                if caps[u] < 1 or caps[w] < 1:
-                    continue
-                caps[u] -= 1
-                caps[w] -= 1
-                edges.append((u, w))
-                stop = pick(at + 1, remaining - 1)
-                edges.pop()
-                caps[u] += 1
-                caps[w] += 1
-                if stop:
-                    return True
-            return False
-
-        return pick(0, quota)
+                if caps[u] > 0 and caps[w] > 0:
+                    caps[u], caps[w] = caps[u] - 1, caps[w] - 1
+                    edges.append((u, w))
+                    chosen.append(at)
+                at += 1
+                continue
+            if not remaining and place(start + 1):
+                return True
+            if not chosen:
+                return False
+            at = chosen.pop()
+            u, w = cells[at]
+            edges.pop()
+            caps[u], caps[w] = caps[u] + 1, caps[w] + 1
+            at += 1
 
     place(0)
     return results

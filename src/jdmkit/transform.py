@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
@@ -12,10 +13,11 @@ from .core import (
     GraphError,
     LabeledGraph,
     Rso,
+    _EdgeState,
     _SwapState,
     _adjacency,
-    _edges_by_class_pair,
     _exchange,
+    _require_realization,
 )
 from .balance import _balance
 
@@ -82,34 +84,33 @@ def _forced_wiring(adj, lefts, rights=None) -> List[Tuple]:
         active.remove(w)
 
 
-def _shrink(adj, target, pivots) -> List[Tuple]:
-    """Rewire adj (node -> neighbor set) toward target by swaps that shrink
+def _shrink(adj, minus, plus, pivots, swap) -> List[Tuple]:
+    """Rewire adj (node -> neighbor set) toward a target by swaps that shrink
     their difference; return them as (a, c, b, d): remove a-c, b-d; add a-d, b-c.
 
-    Call the current edges G and the target's H.  A swap lowers |G Δ H| by
-    2 or 4 only if one pivot a drops an edge a-c of G minus H and gains an
-    edge a-d of H minus G, while the other pivot b either drops b-d of
-    G minus H with b-c not in G, or gains b-c of H minus G with b-d in G.
-    Each step takes the smallest pivot a with such a swap, a swap lowering
-    the difference by 4 before one lowering it by 2, then the smallest c,
-    d and b in that order.  Pivots come from a worklist: after a swap only
-    its four nodes and their difference neighbors can gain a swap, so only
-    those pivots are queued again.  Stops when no pivot has such a swap,
-    which may leave a difference behind.
+    Call the current edges G and the target's H; minus and plus map nodes to
+    their neighbors over G - H and H - G, and swap(a, b, c, d) applies a swap
+    to adj as _exchange does.  A swap lowers |G Δ H| by 2 or 4 only if one
+    pivot a drops an edge a-c of G - H and gains an edge a-d of H - G, while
+    the other pivot b either drops b-d of G - H with b-c not in G, or gains
+    b-c of H - G with b-d in G.  Each step takes the smallest pivot a with
+    such a swap, a swap lowering the difference by 4 before one lowering it
+    by 2, then the smallest c, d and b in that order.  Pivots come from a
+    worklist: after a swap only its four nodes and their difference
+    neighbors can gain a swap, so only those pivots are queued again.
+    Stops when no pivot has such a swap, which may leave a difference.
     """
-    minus = {v: ns - target[v] for v, ns in adj.items()}
-    plus = {v: target[v] - ns for v, ns in adj.items()}
     queue = sorted(v for v in pivots if minus[v])
     queued = set(queue)
     records: List[Tuple] = []
     while queue:
         a = heappop(queue)
         queued.remove(a)
-        swap = _shrinking_swap(a, adj, minus, plus)
-        if swap is None:
+        found = _shrinking_swap(a, adj, minus, plus)
+        if found is None:
             continue
-        a, c, b, d = swap
-        _exchange(adj, a, b, c, d)
+        a, c, b, d = found
+        swap(a, b, c, d)
         for (u, v), out, back in (((a, c), minus, plus), ((b, d), minus, plus),
                                   ((a, d), plus, minus), ((b, c), plus, minus)):
             # A dropped edge leaves G minus H or enters H minus G; an added
@@ -120,7 +121,7 @@ def _shrink(adj, target, pivots) -> List[Tuple]:
             else:
                 back[u].add(v)
                 back[v].add(u)
-        records.append(swap)
+        records.append(found)
         for v in (a, b, c, d):
             for u in (v, *minus[v], *plus[v]):
                 if u in pivots and u not in queued and minus[u]:
@@ -153,16 +154,24 @@ def _shrinking_swap(a, adj, minus, plus) -> Optional[Tuple]:
     return None
 
 
+def _finish(adj, target, lefts, rights) -> List[Tuple]:
+    """Records carrying adj onto target (node -> neighbor set, one degree function):
+    both are wired in place to its canonical graph, then the target's wiring is undone."""
+    fwd, bwd = _forced_wiring(adj, lefts, rights), _forced_wiring(target, lefts, rights)
+    if adj != target:
+        raise GraphError("both routes must reach one canonical form")
+    # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
+    return fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
+
+
 def _route(src, dst, lefts, rights=None) -> List[Tuple]:
     """Records (a, c, b, d) carrying edge set src onto dst: remove a-c, b-d;
     add a-d, b-c.
 
     With no rights the edges are a simple graph on lefts and every node
     pivots; otherwise they are (left, right) pairs and only lefts pivot.
-    Difference-shrinking swaps (_shrink) run first.  The finish takes what
-    difference they leave: it wires the graph and the target in place to
-    one canonical graph (_forced_wiring) and goes back along the target's
-    wiring.
+    Difference-shrinking swaps (_shrink) run first on adjacency copies of
+    both edge sets; the finish (_finish) takes what difference they leave.
     """
     if src == dst:
         return []
@@ -175,13 +184,11 @@ def _route(src, dst, lefts, rights=None) -> List[Tuple]:
         nodes = [*lefts, *rights]
         src, dst = ([(l, (r,)) for l, r in edges] for edges in (src, dst))
     adj, target = _adjacency(nodes, src), _adjacency(nodes, dst)
-    records = _shrink(adj, target, frozenset(lefts))
+    minus = {v: ns - target[v] for v, ns in adj.items()}
+    plus = {v: target[v] - ns for v, ns in adj.items()}
+    records = _shrink(adj, minus, plus, frozenset(lefts), partial(_exchange, adj))
     if adj != target:
-        fwd, bwd = _forced_wiring(adj, lefts, rights), _forced_wiring(target, lefts, rights)
-        if adj != target:
-            raise GraphError("both routes must reach one canonical form")
-        # The record undoing (p, q, r, s) is (p, s, r, q), with p and r in place.
-        records += fwd + [(p, s, r, q) for p, q, r, s in reversed(bwd)]
+        records += _finish(adj, target, lefts, rights)
     return records if rights is None else [(a, c, b, d) for a, (c,), b, (d,) in records]
 
 
@@ -258,14 +265,14 @@ def aux_bipartite(g: LabeledGraph, j: int) -> Bipartite:
     return _aux(_class_state(g, j), j)
 
 
-def _lift(state: _SwapState, j: int, aux_swap: Tuple[int, int, int, int]) -> Rso:
-    """Apply lift_aux_swap's swap to the state in place; marks come from its counters."""
+def _lift(state: _SwapState, j: int, aux_swap: Tuple[int, int, int, int], high: dict) -> Rso:
+    """Apply lift_aux_swap's swap to the state in place; marks come from its counters and high."""
     v, i, w, k = aux_swap
     if state.imbalance(j) != 0:
         raise GraphError(f"class {j} is not balanced")
     if v == w or i == k:
         raise GraphError("swap nodes must be distinct")
-    classes, spec, high = state.classes, state.spec, _high(state, j)
+    classes, spec = state.classes, state.spec
     vi, wk, vk, wi = (classes.get(u) == j and c in high and spec[u][c - 1] == high[c]
                       for u, c in ((v, i), (w, k), (v, k), (w, i)))
     if not (vi and wk):
@@ -294,7 +301,7 @@ def lift_aux_swap(
     and w one more class-k neighbor than v.
     """
     state = _class_state(g, j)
-    r = _lift(state, j, aux_swap)
+    r = _lift(state, j, aux_swap, _high(state, j))
     return state.graph(), r
 
 
@@ -325,9 +332,9 @@ def _align(cur: _SwapState, tgt: _SwapState) -> List[Rso]:
         # Both side graphs keep to their sides and share margins (a balanced
         # vertex's mark count and a mixed class's high count follow from the
         # matrix), so bipartite_swap_path's checks are skipped; _lift checks.
-        a, b = _aux(cur, j), _aux(tgt, j)
+        a, b, high = _aux(cur, j), _aux(tgt, j), _high(cur, j)
         for aux_swap in _route(a.edges, b.edges, a.left, a.right):
-            swaps.append(_lift(cur, j, aux_swap))
+            swaps.append(_lift(cur, j, aux_swap, high))
     if cur.spec != tgt.spec:
         raise GraphError("alignment must pin every spectrum")
     return swaps
@@ -346,10 +353,12 @@ class SwapSequence:
 
     def replay(self, g: LabeledGraph) -> LabeledGraph:
         """Apply every swap in order to realization g, checking both endpoint
-        fingerprints; with no swaps the graph returned equals g, a new object."""
+        fingerprints; with no swaps the graph returned equals g, a new object.
+        An edge state checks each swap as Rso.validate does; no spectra kept."""
         if g.fingerprint() != self.source_fingerprint:
             raise GraphError("graph does not match the sequence's source")
-        state = _SwapState(g)
+        _require_realization(g)
+        state = _EdgeState(g)
         for r in self.swaps:
             state.swap(r)
         cur = state.graph()
@@ -368,6 +377,25 @@ def _problem_states(g: LabeledGraph, h: LabeledGraph) -> Tuple[_SwapState, _Swap
     return cur, tgt
 
 
+def _pair_differences(cur: _SwapState, tgt: _SwapState) -> List[Tuple]:
+    """((i, j), (minus, plus)) per class pair i <= j with a difference, ascending:
+    each vertex's neighbors over the pair's edges of cur - tgt and of tgt - cur."""
+    classes, pairs = cur.classes, defaultdict(lambda: (defaultdict(set), defaultdict(set)))
+    for u, ns in cur.adj.items():
+        i, near = classes[u], tgt.adj[u]
+        for side, diff in enumerate((ns - near, near - ns)):
+            for w in diff:
+                pairs[(i, classes[w]) if i <= classes[w] else (classes[w], i)][side][u].add(w)
+    return sorted(pairs.items())
+
+
+def _pair_subgraph(state: _SwapState, i: int, j: int) -> dict:
+    """Class pair (i, j)'s edges in state, as node -> neighbor set over classes i and j."""
+    classes, part = state.classes, state.part
+    return {v: {w for w in state.adj[v] if classes[w] == k}
+            for v in {*part[i], *part[j]} for k in (j if classes[v] == i else i,)}
+
+
 def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     """A swap sequence carrying g exactly onto h.
 
@@ -375,10 +403,10 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     class-pair subgraph with ordinary or side-respecting swaps (all of which
     keep their moved pair inside one class), and finally undo h's balancing
     swaps in reverse.  Aligning and equalizing both route by swaps that
-    shrink the difference to h's side graph or subgraph (_route), so the
-    path's length follows how far g is from h.  All four phases run on one
-    swap state per side, which validates every swap; landing anywhere but h
-    raises GraphError.
+    shrink the difference to h's side graph or subgraph (_shrink), so the
+    path's length follows how far g is from h.  Every phase runs on one swap
+    state per side, which validates each swap (class pairs shrink on it and
+    copy their subgraphs only for _finish); landing elsewhere than h raises GraphError.
     """
     cur, tgt = _problem_states(g, h)
     source_fp, target_fp = g.fingerprint(), h.fingerprint()
@@ -387,22 +415,25 @@ def rso_path(g: LabeledGraph, h: LabeledGraph) -> SwapSequence:
     swaps = _balance(cur)
     h_swaps = _balance(tgt)
     swaps.extend(_align(cur, tgt))
-    # Routing class pair (i, j) moves only that pair's edges, so both edge
-    # sets can be split by pair once, up front.
-    part = cur.part
-    tgt_pairs = _edges_by_class_pair(tgt.classes, tgt.edges())
-    for (i, j), cur_sub in _edges_by_class_pair(cur.classes, cur.edges()).items():
-        rights = None if i == j else part[j]
-        # Both record kinds remove x1-y1, x2-y2 and add x1-y2, x2-y1, with
-        # x1, x2 in class i.
-        for x1, y1, x2, y2 in _route(cur_sub, tgt_pairs[(i, j)], part[i], rights):
-            rso = Rso(x1, x2, y1, y2, pivot_class=i)
-            cur.swap(rso)
-            swaps.append(rso)
+
+    def swap(a, b, c, d):
+        rso = Rso(a, b, c, d, pivot_class=cur.classes[a])
+        cur.swap(rso)
+        swaps.append(rso)
+
+    # Routing pair (i, j) moves only its edges, so the difference is split once.
+    # _shrink asks if a class-i vertex is adjacent to a class-i or class-j one:
+    # such an edge is a pair-(i, j) edge, so cur's adjacency answers as the
+    # pair's.  The finish counts neighbors inside the pair, so it takes copies.
+    for (i, j), (minus, plus) in _pair_differences(cur, tgt):
+        _shrink(cur.adj, minus, plus, frozenset(v for v in minus if cur.classes[v] == i), swap)
+        if any(minus.values()):
+            copies = (_pair_subgraph(state, i, j) for state in (cur, tgt))
+            for a, c, b, d in _finish(*copies, cur.part[i], None if i == j else cur.part[j]):
+                swap(a, b, c, d)
     for r in reversed(h_swaps):
         inv = r.inverse()
-        cur.swap(inv)
-        swaps.append(inv)
+        swap(inv.a, inv.b, inv.c, inv.d)
     # _problem_states compared the class maps, so the edges decide.
     if set(cur.edges()) != h.edge_set():
         raise GraphError("path must land exactly on the target")

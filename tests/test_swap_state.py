@@ -1,9 +1,12 @@
 """The incremental swap state against a from-scratch recount after every swap.
 
-Every swap that balance, spectrum_align, class-pair routing, unbalancing and
-replay make goes through one state; after each one its spectra, per-class
-imbalance and per-component deviation tallies must equal what the
-materialized graph's spectra and the Fraction class averages give.
+Every swap that balance, spectrum_align, class-pair routing and unbalancing
+make goes through one state; after each one its spectra, per-class imbalance
+and per-component deviation tallies must equal what the materialized graph's
+spectra and the Fraction class averages give.  Class pairs route on that
+state itself.  Replay needs none of the bookkeeping: it runs on the edge
+state beneath the swap state, which checks and applies each swap the same way
+and keeps no spectra or tallies.
 """
 
 import hashlib
@@ -109,10 +112,12 @@ def test_pendant_every_phase(checked, pendant):
     _, align = spectrum_align(bal, hb)
     assert checked[0] - before == len(align) > 0
     for g, t in ((pendant, h), (h, pendant)):
+        target_swaps = len(balance(t)[1])
         before = checked[0]
         seq = path_and_replay(g, t)
-        # The path's swaps, the balancing of its target and the replay.
-        assert checked[0] - before > 2 * len(seq)
+        # The path's swaps and the balancing of its target, each recounted;
+        # the replay runs on an edge state, with nothing to recount.
+        assert checked[0] - before == len(seq) + target_swaps > len(seq)
 
 
 def test_relabelled_pendant(checked, pendant):
@@ -149,7 +154,8 @@ def test_one_state_per_side_per_path(monkeypatch):
     # once and comparing the two to check the problem, then balances, aligns,
     # routes and unbalances on them; only the landing check builds a graph.
     # With replay after it, each input graph is hashed at most once: the
-    # third hash is of the graph replay lands on.
+    # third hash is of the graph replay lands on.  Replay builds no swap
+    # state and counts no spectrum or tally: its edge state checks each swap.
     pairs = pool_pairs(random.Random(2027), 24)
     calls = Counter()
 
@@ -164,6 +170,7 @@ def test_one_state_per_side_per_path(monkeypatch):
 
     count(_SwapState, "__init__", "state")
     count(core, "_pair_matrix", "matrix")
+    count(core, "_tallies", "tallies")
     count(LabeledGraph, "_derive", "graph")
     # core imports hashlib where it fingerprints, so the count is taken on
     # hashlib itself.
@@ -174,12 +181,16 @@ def test_one_state_per_side_per_path(monkeypatch):
         assert calls["state"] == 2, calls
         assert calls["matrix"] == 2, calls
         assert calls["graph"] <= 1, calls
+        tallies = calls["tallies"]
         assert seq.replay(g) == h
         assert calls["hash"] <= 3, calls
+        assert (calls["state"], calls["matrix"], calls["tallies"]) == (2, 2, tallies), calls
 
 
 def test_ladder_pair(checked):
     g, h = gnp_walk_pair(32, random.Random(32))
     assert g.edge_set() != h.edge_set()
+    target_swaps = len(balance(h)[1])
+    before = checked[0]
     seq = path_and_replay(g, h)
-    assert checked[0] > 2 * len(seq)
+    assert checked[0] - before == len(seq) + target_swaps > len(seq)

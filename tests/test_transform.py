@@ -283,6 +283,35 @@ class TestShrinkingRoute:
         g, h = LabeledGraph.from_edges(EIGHT_CYCLE), LabeledGraph.from_edges(TWO_SQUARES)
         assert rso_path(g, h).replay(g) == h
 
+    def test_rso_path_copies_only_the_pair_taking_the_finish(self, pendant, monkeypatch):
+        # The pendant pair beside the cycle pair on labels 8..15: several
+        # class pairs differ, and only (2, 2), the cycles, is stuck.  Every
+        # other pair shrinks its difference on the swap state itself, so only
+        # (2, 2) gets adjacency copies, one per side.
+        routed, copies = [], []
+        pair_differences, pair_subgraph = transform._pair_differences, transform._pair_subgraph
+
+        def differences(cur, tgt):
+            pairs = pair_differences(cur, tgt)
+            routed.extend(pair for pair, _ in pairs)
+            return pairs
+
+        def subgraph(state, i, j):
+            copies.append((i, j))
+            return pair_subgraph(state, i, j)
+
+        monkeypatch.setattr(transform, "_pair_differences", differences)
+        monkeypatch.setattr(transform, "_pair_subgraph", subgraph)
+        shift = lambda edges: [(u + 8, v + 8) for u, v in edges]
+        g = LabeledGraph.from_edges(list(pendant.edges()) + shift(EIGHT_CYCLE))
+        h = LabeledGraph.from_edges(TestPinnedTraces.PENDANT_OTHER + shift(TWO_SQUARES))
+        assert rso_path(g, h).replay(g) == h
+        assert (routed, copies) == ([(1, 3), (2, 2), (3, 3)], [(2, 2), (2, 2)])
+        routed.clear()
+        h = LabeledGraph.from_edges(TestPinnedTraces.PENDANT_OTHER)
+        assert rso_path(pendant, h).replay(pendant) == h
+        assert (routed, copies) == ([(1, 3), (3, 3)], [(2, 2), (2, 2)])
+
     def test_finish_records_are_pinned(self):
         # The exact records of three routes that take the canonical finish,
         # so a change to the finish shows here even when its routes land.
@@ -607,9 +636,10 @@ class TestRsoPath:
             short.replay(pendant)
 
     def test_landing_check_survives_optimized_mode(self, six_cycle, two_triangles, optimized_stdout):
-        # With a record dropped from every difference-shrinking route the
-        # path misses its target.  Under python -O the assert statements are
-        # gone, so only an explicit check can refuse the sequence.
+        # With the last class pair's difference dropped, routing leaves that
+        # pair as it is and the path misses its target.  Under python -O the
+        # assert statements are gone, so only an explicit check can refuse
+        # the sequence.
         script = textwrap.dedent(
             f"""
             import sys
@@ -617,8 +647,8 @@ class TestRsoPath:
             from jdmkit.core import GraphError, LabeledGraph
 
             assert sys.flags.optimize
-            shrink = transform._shrink
-            transform._shrink = lambda adj, target, pivots: shrink(adj, target, pivots)[:-1]
+            differences = transform._pair_differences
+            transform._pair_differences = lambda cur, tgt: differences(cur, tgt)[:-1]
             g = LabeledGraph.from_edges({list(six_cycle.edges())})
             h = LabeledGraph.from_edges({list(two_triangles.edges())})
             try:
