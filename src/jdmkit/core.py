@@ -442,9 +442,8 @@ def _tallies(rows: Sequence[Sequence[int]]) -> List[int]:
     n, out = len(rows), []
     for col in zip(*rows):
         t, dev = sum(col), 0
-        if t:  # an all-zero column deviates nowhere
-            for s in col:
-                dev += abs(t - s * n) // n
+        for s in col:
+            dev += abs(t - s * n) // n
         out.append(dev)
     return out
 
@@ -590,7 +589,8 @@ class _SwapState(_EdgeState):
                 num, den = self.avg[(j, i)]
                 s, t = down[i - 1], up[i - 1]
                 down[i - 1], up[i - 1] = s - 1, t + 1
-                x, y = num - s * den, num - t * den  # _floor_dev is abs(num - s * den) // den
+                # _floor_dev's change from s to s - 1 plus its change from t to t + 1.
+                x, y = num - s * den, num - t * den
                 change = abs(x + den) // den - abs(x) // den + abs(y - den) // den - abs(y) // den
                 self.dev[(j, i)] += change
                 self.imb[j] += change

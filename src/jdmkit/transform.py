@@ -87,18 +87,19 @@ def _forced_wiring(adj, lefts, rights=None) -> List[Tuple]:
 def _shrink(adj, minus, plus, pivots, swap) -> List[Tuple]:
     """Rewire adj (node -> neighbor set) toward a target by swaps that shrink
     their difference; return them as (a, c, b, d): remove a-c, b-d; add a-d, b-c.
+    swap(a, b, c, d) applies a swap to adj; minus and plus map each node to
+    its neighbors over adj's edges not in the target and the reverse.
 
-    Call the current edges G and the target's H; minus and plus map nodes to
-    their neighbors over G - H and H - G, and swap(a, b, c, d) applies a swap
-    to adj as _exchange does.  A swap lowers |G Δ H| by 2 or 4 only if one
-    pivot a drops an edge a-c of G - H and gains an edge a-d of H - G, while
-    the other pivot b either drops b-d of G - H with b-c not in G, or gains
-    b-c of H - G with b-d in G.  Each step takes the smallest pivot a with
-    such a swap, a swap lowering the difference by 4 before one lowering it
-    by 2, then the smallest c, d and b in that order.  Pivots come from a
-    worklist: after a swap only its four nodes and their difference
-    neighbors can gain a swap, so only those pivots are queued again.
-    Stops when no pivot has such a swap, which may leave a difference.
+    Call the current edges G and the target's H.  A swap lowers |G Δ H| by
+    2 or 4 only if one pivot a drops an edge a-c of G minus H and gains an
+    edge a-d of H minus G, while the other pivot b either drops b-d of
+    G minus H with b-c not in G, or gains b-c of H minus G with b-d in G.
+    Each step takes the smallest pivot a with such a swap, a swap lowering
+    the difference by 4 before one lowering it by 2, then the smallest c,
+    d and b in that order.  Pivots come from a worklist: after a swap only
+    its four nodes and their difference neighbors can gain a swap, so only
+    those pivots are queued again.  Stops when no pivot has such a swap,
+    which may leave a difference behind.
     """
     queue = sorted(v for v in pivots if minus[v])
     queued = set(queue)
